@@ -28,33 +28,43 @@ class AllegoryView:
 
     Every operation returns the class representative, so representatives
     can be compared by identity and reused as cache keys.
+
+    Interning is idempotent by identity: `rep(r) is r` for every
+    representative r the view has returned, and it is answered without
+    calling the equivalence. `equal` on two distinct interned
+    representatives is decided once and then cached, so repeated law
+    checks over the same classes do not re-decide it.
     """
 
-    def __init__(self, cat, equiv, objects=None, apex_bound=None):
+    def __init__(self, cat, equiv, objects=None):
         self.cat = cat
         self.equiv = equiv
         self.objects = list(cat.objects()) if objects is None else list(objects)
-        self.apex_bound = apex_bound
         self._by_key = {}
         self._reps = {}        # (dom, cod) -> list of interned reps
+        self._interned = {}    # id -> every interned rep, kept alive so ids stay stable
         self._homs = {}        # (dom, cod) -> (reps, complete)
         self._ops = {}
 
     # representative interning
 
     def rep(self, s):
+        if id(s) in self._interned:
+            return s
         k = self.equiv.key(s)
         if k is not None:
             hit = self._by_key.get(k)
             if hit is None:
                 hit = self._span_from_key(k, s)
                 self._by_key[k] = hit
+                self._interned[id(hit)] = hit
             return hit
         bucket = self._reps.setdefault((s.dom, s.cod), [])
         for r in bucket:
-            if r is s or self.equiv.equal(s, r).holds:
+            if self.equiv.equal(s, r).holds:
                 return r
         bucket.append(s)
+        self._interned[id(s)] = s
         return s
 
     def _span_from_key(self, k, fallback):
@@ -98,8 +108,11 @@ class AllegoryView:
                             lambda a: self.rep(involution(a)))
 
     def equal(self, r, s):
-        if self.rep(r) is self.rep(s):
+        a, b = self.rep(r), self.rep(s)
+        if a is b:
             return Verdict.yes(reason="same representative")
+        if a is r and b is s:
+            return self._cached("e", (a, b), self.equiv.equal)
         return self.equiv.equal(r, s)
 
     def leq(self, r, s):
@@ -109,8 +122,7 @@ class AllegoryView:
     def hom(self, a, b):
         got = self._homs.get((a, b))
         if got is None:
-            raw, complete = enumerate_hom_classes(self.cat, self.equiv, a, b,
-                                                  apex_bound=self.apex_bound)
+            raw, complete = enumerate_hom_classes(self.cat, self.equiv, a, b)
             got = ([self.rep(s) for s in raw], complete)
             self._homs[(a, b)] = got
         return got
@@ -446,13 +458,18 @@ def is_mono_map(view, r):
 class MapCategory(Category):
     """Subcategory of map classes of a view, with limits computed
     intrinsically: pullbacks by tabulating g deg . f, never by appeal to
-    the base category's own limits."""
+    the base category's own limits.
+
+    `complete` stays true while every hom listed so far came from a
+    complete class enumeration of the view.
+    """
 
     def __init__(self, view, system, objects=None):
         self.view = view
         self.system = system
         self._objects = view.objects if objects is None else list(objects)
         self._maps = {}
+        self.complete = True
 
     def objects(self):
         return iter(self._objects)
@@ -460,10 +477,12 @@ class MapCategory(Category):
     def hom(self, a, b):
         got = self._maps.get((a, b))
         if got is None:
-            reps, _ = self.view.hom(a, b)
-            got = [r for r in reps if is_map(self.view, r).verdict.holds]
+            reps, complete = self.view.hom(a, b)
+            got = ([r for r in reps if is_map(self.view, r).verdict.holds], complete)
             self._maps[(a, b)] = got
-        return list(got)
+        maps, complete = got
+        self.complete = self.complete and complete
+        return list(maps)
 
     def identity(self, a):
         return self.view.identity(a)
@@ -628,21 +647,33 @@ def counit(view, h, k):
     return view.compose(view.inv(h), k)
 
 
+def _not_bijective(complete, witness, reason):
+    """A missing map or class can make the counit look non-bijective, so
+    the failure is only definite on complete enumerations."""
+    if complete:
+        return Verdict.no(witness, reason)
+    return Verdict.maybe(reason=f"{reason} on an incomplete hom enumeration")
+
+
 def counit_check(view, system, a, b, apexes=None):
     """Bijectivity of the counit on hom(a, b) plus both triangular
-    identities on the sampled maps and classes."""
+    identities on the sampled maps and classes. Unknown, not Holds or
+    Fails on bijectivity, when a hom it listed was incomplete."""
     mc = map_category(view, system, apexes)
     rels = enumerate_map_relations(mc, a, b, apexes)
     images = [counit(view, h, k) for h, k in rels]
     for i, j in itertools.combinations(range(len(images)), 2):
         if view.equal(images[i], images[j]).holds:
-            return Verdict.no((rels[i], rels[j]), "counit not injective")
+            return _not_bijective(mc.complete, (rels[i], rels[j]), "counit not injective")
     classes, complete = view.hom(a, b)
+    complete_all = complete and mc.complete
     for r in classes:
         if not any(view.equal(r, im).holds for im in images):
-            return Verdict.no(r, "counit not surjective onto the hom classes")
+            return _not_bijective(complete_all, r,
+                                  "counit not surjective onto the hom classes")
     if len(images) != len(classes):
-        return Verdict.no((len(images), len(classes)), "counit image count mismatch")
+        return _not_bijective(complete_all, (len(images), len(classes)),
+                              "counit image count mismatch")
 
     verdicts = []
     for f in mc.hom(a, b):
@@ -660,6 +691,8 @@ def counit_check(view, system, a, b, apexes=None):
     out = combine(verdicts)
     if out.holds and not complete:
         return Verdict.maybe(reason="hom enumeration incomplete")
+    if out.holds and not mc.complete:
+        return Verdict.maybe(reason="map hom enumeration incomplete")
     if out.holds:
         return Verdict.yes(reason=f"bijection on {len(classes)} classes")
     return out

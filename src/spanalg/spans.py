@@ -136,7 +136,7 @@ def approx(cat, s1, s2):
 
 class SpanEquivalence:
     """Decides whether two parallel spans are related; optionally supplies a
-    canonical representative per class."""
+    canonical key per class."""
 
     tag = "abstract"
 
@@ -145,10 +145,6 @@ class SpanEquivalence:
 
     def equal(self, s1, s2):
         raise NotImplementedError
-
-    def canonical(self, s):
-        """A deterministic representative of the class of s, or s itself."""
-        return s
 
     def key(self, s):
         """Hashable canonical key, or None when no canonical form exists."""
@@ -187,17 +183,13 @@ class FactorizationEquivalence(SpanEquivalence):
         _, m = self.system.factor(p)
         return Span(m.dom, self.cat.compose(pr.pi1, m), self.cat.compose(pr.pi2, m))
 
-    def canonical(self, s):
-        return self.m_part(s)
-
     def key(self, s):
+        if not isinstance(self.cat, FinSetCategory):
+            return None
         c = self.m_part(s)
-        if isinstance(self.cat, FinSetCategory):
-            # sorted row multiset: vertical isos are exactly the
-            # row-multiset-preserving bijections, so this is complete
-            return (s.dom, s.cod,
-                    tuple(sorted(zip(c.left.table, c.right.table))))
-        return None
+        # sorted row multiset: vertical isos are exactly the
+        # row-multiset-preserving bijections, so this is complete
+        return (s.dom, s.cod, tuple(sorted(zip(c.left.table, c.right.table))))
 
     def equal(self, s1, s2):
         _require_parallel(s1, s2)
@@ -309,7 +301,7 @@ def make_equivalence(cat, relation_tag, system=None, e_class=None):
 
 # -- quotient hom enumeration --------------------------------------------------
 
-def enumerate_hom_classes(cat, equiv, a, b, apex_bound=None):
+def enumerate_hom_classes(cat, equiv, a, b):
     """Representatives of the hom-classes a -> b.
 
     For FinSet with a canonical key this is exact (all subsets of a x b for
@@ -328,9 +320,6 @@ def enumerate_hom_classes(cat, equiv, a, b, apex_bound=None):
     reps = []
     complete = True
     for w in cat.objects():
-        if apex_bound is not None and isinstance(w, int) and w > apex_bound:
-            complete = False
-            continue
         for lf in cat.hom(w, a):
             for rg in cat.hom(w, b):
                 s = Span(w, lf, rg)

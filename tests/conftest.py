@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from spanalg import (AllegoryView, FinSetCategory, default_carrier, e_bullet,
                      e_circ, m_star, make_equivalence)
 from spanalg.systems import finset_system
+
+# fixed examples and no per-example deadline, so runs repeat on a loaded machine
+settings.register_profile("spanalg", derandomize=True, deadline=None)
+settings.load_profile("spanalg")
 
 
 @pytest.fixture(scope="session")

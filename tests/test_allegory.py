@@ -2,14 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from spanalg import (Span, TabulationFailed, allegory_suite,
+from spanalg import (FinSetCategory, Span, TabulationFailed, ThinCategory, allegory_suite,
                      check_allegorical_criterion, check_allegorical_relation,
                      check_gamma_pullback_preservation, check_modular_law,
                      check_order, check_special_modular_law,
                      effective_retraction_sample, fin, find_unit, is_cover, is_map,
-                     is_mono_map, make_equivalence, map_category, relation_span,
-                     tabulate)
+                     is_mono_map, make_equivalence, map_category, named_system,
+                     relation_span, tabulate)
 from spanalg.allegory import AllegoryView, check_m_self_tabulation, counit_check
 
 import oracles
@@ -193,3 +194,118 @@ def test_ebullet_view_is_unitary_tabular(C, ebullet_view, iso_all):
         for r in ebullet_view.hom(a, b)[0]:
             tab = tabulate(ebullet_view, iso_all, r)
             assert not tab.composite.fails and not tab.joint_monicity.fails
+
+
+def test_counit_unknown_when_a_map_hom_is_incomplete(C, surj_inj):
+    view = AllegoryView(C, make_equivalence(C, "simE", surj_inj), objects=range(3))
+    full_hom = view.hom
+
+    def hom_missing_identity(a, b):
+        # hom(1, 1) loses the identity, so the singleton relations 2 -> 1
+        # have no map span and the counit looks non-surjective
+        reps, complete = full_hom(a, b)
+        if (a, b) != (1, 1):
+            return reps, complete
+        return [r for r in reps if r.apex == 0], False
+
+    view.hom = hom_missing_identity
+    v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
+    assert v.unknown
+    assert v.reason == \
+        "counit not surjective onto the hom classes on an incomplete hom enumeration"
+
+    # the flag alone, with nothing missing, also keeps the counit from Holds
+    view.hom = lambda a, b: (full_hom(a, b)[0], (a, b) != (2, 2))
+    v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
+    assert v.unknown
+    assert v.reason == "map hom enumeration incomplete"
+
+
+# -- interning ---------------------------------------------------------------------
+
+def _finset_view():
+    cat = FinSetCategory(3)
+    system = named_system(cat, "surj-inj")
+    return AllegoryView(cat, make_equivalence(cat, "simE", system), objects=range(3))
+
+
+def _chain_view():
+    cat = ThinCategory.chain(5)
+    system = named_system(cat, "iso-all")
+    return AllegoryView(cat, make_equivalence(cat, "simE", system))
+
+
+def _count_decider_calls(equiv):
+    """Count equiv.key and equiv.equal calls made through this instance."""
+    calls = {"key": 0, "equal": 0}
+    for name in calls:
+        method = getattr(equiv, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        setattr(equiv, name, counted)
+    return calls
+
+
+def _all_homs(view):
+    return [view.hom(a, b)[0] for a, b in itertools.product(view.objects, repeat=2)]
+
+
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_rep_is_idempotent_by_identity(make_view):
+    view = make_view()
+    homs = _all_homs(view)
+    calls = _count_decider_calls(view.equiv)
+    for reps in homs:
+        for r in reps:
+            assert view.rep(r) is r
+    assert calls == {"key": 0, "equal": 0}
+
+
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_equal_on_representatives_is_cached(make_view):
+    view = make_view()
+    homs = _all_homs(view)
+    calls = _count_decider_calls(view.equiv)
+    for reps in homs:
+        for r, s in itertools.permutations(reps, 2):
+            first = view.equal(r, s)
+            n = calls["equal"]
+            again = view.equal(r, s)
+            assert again is first and calls["equal"] == n
+            direct = view.equiv.equal(r, s)
+            assert (again.outcome, again.witness, again.reason) == \
+                (direct.outcome, direct.witness, direct.reason)
+
+
+# -- the view against the relational oracle ----------------------------------------
+
+def _relations(a, b):
+    cells = [(x, y) for x in range(a) for y in range(b)]
+    return st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)).map(
+        lambda bits: frozenset(c for c, bit in zip(cells, bits) if bit))
+
+
+@st.composite
+def _relation_triples(draw):
+    """r, t: a -> b and s: b -> c, with a, b, c <= 3."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    return (a, b, c), draw(_relations(a, b)), draw(_relations(b, c)), draw(_relations(a, b))
+
+
+def _relation(span):
+    return frozenset(zip(span.left.table, span.right.table))
+
+
+@given(_relation_triples())
+def test_view_operations_match_oracle(small_view, triple):
+    (a, b, c), r, s, t = triple
+    view = small_view
+    rs, ss, ts = (relation_span(view.cat, x, y, rel)
+                  for (x, y), rel in (((a, b), r), ((b, c), s), ((a, b), t)))
+    assert _relation(view.compose(rs, ss)) == oracles.compose(r, s)
+    assert _relation(view.meet(rs, ts)) == oracles.meet(r, t)
+    assert _relation(view.inv(rs)) == oracles.transpose(r)
+    assert view.leq(rs, ts).holds == oracles.leq(r, t)
