@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .category import Category, PullbackResult
 from .errors import EnumerationUnavailable, LimitUnavailable, NoTerminal, TabulationFailed
-from .finset import FinMor, FinSetCategory
 from .spans import (Span, enumerate_hom_classes, graph, identity_span, involution,
                     span_compose, span_meet)
 from .verdict import Verdict, combine
@@ -33,7 +32,9 @@ class AllegoryView:
     representative r the view has returned, and it is answered without
     calling the equivalence. `equal` on two distinct interned
     representatives is decided once and then cached, so repeated law
-    checks over the same classes do not re-decide it.
+    checks over the same classes do not re-decide it. The identity class
+    of each object is cached too, so `identity(a)` builds and interns its
+    span only once.
     """
 
     def __init__(self, cat, equiv, objects=None):
@@ -44,6 +45,7 @@ class AllegoryView:
         self._reps = {}        # (dom, cod) -> list of interned reps
         self._interned = {}    # id -> every interned rep, kept alive so ids stay stable
         self._homs = {}        # (dom, cod) -> (reps, complete)
+        self._identities = {}  # object -> its identity class
         self._ops = {}
 
     # representative interning
@@ -55,7 +57,7 @@ class AllegoryView:
         if k is not None:
             hit = self._by_key.get(k)
             if hit is None:
-                hit = self._span_from_key(k, s)
+                hit = self.equiv.span_of_key(k)
                 self._by_key[k] = hit
                 self._interned[id(hit)] = hit
             return hit
@@ -66,14 +68,6 @@ class AllegoryView:
         bucket.append(s)
         self._interned[id(s)] = s
         return s
-
-    def _span_from_key(self, k, fallback):
-        if isinstance(self.cat, FinSetCategory):
-            a, b, rows = k
-            return Span(len(rows),
-                        FinMor(len(rows), a, tuple(x for x, _ in rows)),
-                        FinMor(len(rows), b, tuple(y for _, y in rows)))
-        return fallback
 
     def _cached(self, tag, args, build):
         # args must already be interned representatives: interned spans are
@@ -88,7 +82,10 @@ class AllegoryView:
     # induced operations
 
     def identity(self, a):
-        return self.rep(identity_span(self.cat, a))
+        got = self._identities.get(a)
+        if got is None:
+            got = self._identities[a] = self.rep(identity_span(self.cat, a))
+        return got
 
     def of_morphism(self, f):
         """The graph class [1, f]."""
@@ -415,9 +412,7 @@ def tabulate(view, system, r):
     composite = view.equal(r, view.compose(view.inv(fw.r), gw.r))
     if composite.fails:
         raise TabulationFailed("composite", (r, p, q))
-    kp_f = view.compose(fw.r, view.inv(fw.r))
-    kp_g = view.compose(gw.r, view.inv(gw.r))
-    monic = view.equal(view.meet(kp_f, kp_g), view.identity(m.dom))
+    monic = jointly_monic(view, fw.r, gw.r)
     if monic.fails:
         raise TabulationFailed("joint-monicity", (r, p, q))
     return Tabulation(fw, gw, r, composite, monic)
@@ -555,9 +550,7 @@ def _square_tabulates(view, h, k, p1, p2):
     composite = view.equal(target, view.compose(view.inv(gp1), gp2))
     if composite.fails:
         return Verdict.no((h, k), "pullback span does not recover the composite")
-    kp1 = view.compose(gp1, view.inv(gp1))
-    kp2 = view.compose(gp2, view.inv(gp2))
-    monic = view.equal(view.meet(kp1, kp2), view.identity(p1.dom))
+    monic = jointly_monic(view, gp1, gp2)
     if monic.fails:
         return Verdict.no((h, k), "pullback legs not jointly monic")
     return combine([composite, monic])

@@ -57,11 +57,6 @@ class Category:
         """Size of hom(a, b) when cheap to predict, else None."""
         return None
 
-    def all_morphisms(self):
-        for a in self.objects():
-            for b in self.objects():
-                yield from self.hom(a, b)
-
     # -- structure -----------------------------------------------------
 
     def identity(self, a):
@@ -159,16 +154,6 @@ class Category:
         if u is None:
             return None
         return u if self.is_iso(u).holds else None
-
-    # -- derived helpers ---------------------------------------------------
-
-    def isos_between(self, a, b):
-        for f in self.hom(a, b):
-            if self.is_iso(f).holds:
-                yield f
-
-    def objects_isomorphic(self, a, b):
-        return next(self.isos_between(a, b), None) is not None
 
 
 def check_associativity(cat, max_triples=None):

@@ -1,13 +1,13 @@
 """Morphism-class algebra.
 
-MorClass values wrap a decidable membership procedure with provenance.
-Closure-provenance classes are computed to fixpoint on a bounded carrier
+MorClass values wrap a decidable membership procedure or a member set.
+Closure classes are computed to fixpoint on a bounded carrier
 (all morphisms between a finite set of objects); membership outside the
 carrier is Unknown, and Fails inside the carrier is sound only relative
 to the bound.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .verdict import Verdict
@@ -39,12 +39,11 @@ class Carrier:
 class MorClass:
     name: str
     membership_fn: Callable = None
-    provenance: str = "builtin"            # builtin | explicit | closure
-    members: Optional[frozenset] = None    # explicit / closure provenance
+    members: Optional[frozenset] = None    # explicit and closure classes
     carrier: Optional[Carrier] = None
     rules: tuple = ()                      # f -> Verdict; Holds certifies membership
-    monic_complete: bool = False           # class provably within the monos and
-    subset_search_complete: bool = False   # rules certify every mono (FinSet)
+    monic_complete: bool = False           # within the monos; rules certify each mono
+    subset_search_complete: bool = False   # a failed middle-span search is conclusive
 
     def membership(self, f):
         for rule in self.rules:
@@ -88,7 +87,7 @@ def builtin_class(cat, name):
         "ffInjObj": None,
     }
     if name in preds:
-        return MorClass(name, membership_fn=preds[name])
+        return MorClass(name, membership_fn=preds[name], subset_search_complete=True)
     if name in extra:
         if name == "ffInjObj":
             def ff_inj(f):
@@ -102,8 +101,7 @@ def builtin_class(cat, name):
 
 
 def explicit_class(name, morphisms, carrier=None):
-    return MorClass(name, provenance="explicit", members=frozenset(morphisms),
-                    carrier=carrier)
+    return MorClass(name, members=frozenset(morphisms), carrier=carrier)
 
 
 def union_class(name, *classes):
@@ -114,7 +112,7 @@ def union_class(name, *classes):
         if any(v.unknown for v in verdicts):
             return Verdict.maybe("some constituent Unknown")
         return Verdict.no(reason=f"in no constituent of {name}")
-    return MorClass(name, membership_fn=member, provenance="builtin")
+    return MorClass(name, membership_fn=member)
 
 
 # -- validation ---------------------------------------------------------------
@@ -180,12 +178,12 @@ def composition_closure(cat, x_class, carrier, include_isos=True):
                     if gf not in members:
                         members.add(gf)
                         changed = True
-    return MorClass(f"({x_class.name})^c", provenance="closure",
-                    members=frozenset(members), carrier=carrier)
+    return MorClass(f"({x_class.name})^c", members=frozenset(members), carrier=carrier)
 
 
 def split_epi_class(cat):
-    return MorClass("splitEpis", membership_fn=cat.is_split_epi)
+    return MorClass("splitEpis", membership_fn=cat.is_split_epi,
+                    subset_search_complete=True)
 
 
 def _iso_rule(cat):
@@ -268,18 +266,21 @@ def conjugates(cat, m_class, carrier):
         for s in cat.hom(r.cod, r.dom):
             if cat.compose(r, s) == ident:
                 out.add(s)
-    # raw cube enumeration: m: B -> Z in M, f: A -> B, s: T -> B
+    # raw cube enumeration: m: B -> Z in M, f: A -> B, s: T -> B; the back
+    # face pullback(f, s) does not depend on m, so it is built once per (f, s)
+    by_dom = {}
     for m in m_members:
-        into_b = [f for f in mors if f.cod == m.dom]
-        for f in into_b:
-            mf = cat.compose(m, f)
-            for s in into_b:
-                ms = cat.compose(m, s)
+        by_dom.setdefault(m.dom, []).append(m)
+    for b, ms_at_b in by_dom.items():
+        into_b = [f for f in mors if f.cod == b]
+        after = [[cat.compose(m, f) for m in ms_at_b] for f in into_b]
+        for f, mfs in zip(into_b, after):
+            for s, mss in zip(into_b, after):
                 back = cat.pullback(f, s)
-                front = cat.pullback(mf, ms)
-                conj = front.mediate(back.p1, back.p2)
-                if conj is not None and carrier.contains_endpoints(conj):
-                    out.add(conj)
+                for mf, ms in zip(mfs, mss):
+                    conj = cat.pullback(mf, ms).mediate(back.p1, back.p2)
+                    if conj is not None and carrier.contains_endpoints(conj):
+                        out.add(conj)
     return out
 
 
@@ -313,13 +314,13 @@ def m_star(cat, m_class, carrier):
                     if ih not in members:
                         members.add(ih)
                         changed = True
-    return MorClass(f"({m_class.name})*", provenance="closure",
-                    members=frozenset(members), carrier=carrier)
+    return MorClass(f"({m_class.name})*", members=frozenset(members), carrier=carrier)
 
 
-def e_bullet(cat, system, carrier):
+def e_bullet(cat, system, carrier, mstar):
     """Least stable system containing E and M*: the composition closure of
-    their union on the carrier.
+    their union on the carrier, with M* = m_star(cat, system.M, carrier)
+    built by the caller.
 
     On FinSet with E = Iso, every conjugate is an inclusion of pullback
     sets (hence monic), so the whole closure provably consists of
@@ -327,7 +328,6 @@ def e_bullet(cat, system, carrier):
     is then total rather than bound-relative.
     """
     from .finset import FinSetCategory
-    mstar = m_star(cat, system.M, carrier)
     gen = union_class(f"{system.E.name}+M*", system.E, mstar)
     out = composition_closure(cat, gen, carrier)
     out.name = f"({system.E.name})_bullet"

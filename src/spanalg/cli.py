@@ -17,7 +17,7 @@ import sys
 import time
 
 from .allegory import (AllegoryView, allegory_suite, check_allegorical_criterion,
-                       check_allegorical_relation, counit_check,
+                       check_allegorical_relation, check_modular_law, counit_check,
                        effective_retraction_sample, find_unit, map_category,
                        tabulate)
 from .classes import Carrier, check_splitepi_mono_agreement, e_bullet, e_circ, m_star
@@ -108,7 +108,7 @@ class Context:
         if got is not None:
             return got
         if tag == "ebullet":
-            got = e_bullet(self.cat, self.system, self.carrier)
+            got = e_bullet(self.cat, self.system, self.carrier, self.mor_class("mstar"))
         elif tag == "ecirc":
             got = e_circ(self.cat, self.system.E, self.carrier)
         elif tag == "mstar":
@@ -118,15 +118,19 @@ class Context:
         self._classes[tag] = got
         return got
 
+    def e_like(self):
+        """The class E that the relation quotients by: the system's E, E_o
+        or E_bullet; None for approx."""
+        if self.args.relation == "simE":
+            return self.system.E
+        tag = {"simEo": "ecirc", "simEbullet": "ebullet"}.get(self.args.relation)
+        return None if tag is None else self.mor_class(tag)
+
     def equivalence(self):
         tag = self.args.relation
         if tag == "simE":
             return make_equivalence(self.cat, tag, system=self.system)
-        if tag == "simEo":
-            return make_equivalence(self.cat, tag, e_class=self.mor_class("ecirc"))
-        if tag == "simEbullet":
-            return make_equivalence(self.cat, tag, e_class=self.mor_class("ebullet"))
-        return make_equivalence(self.cat, tag)
+        return make_equivalence(self.cat, tag, e_class=self.e_like())
 
     def view(self):
         return AllegoryView(self.cat, self.equivalence(),
@@ -254,7 +258,6 @@ def _seeded_triples(view, rng, objs, n):
 
 
 def cmd_check_allegory(ctx, rep):
-    from .allegory import check_modular_law, check_special_modular_law
     view = ctx.view()
     objs = ctx.objects()
     spec = {"objects": len(objs), "seed": ctx.args.seed}
@@ -267,9 +270,7 @@ def cmd_check_allegory(ctx, rep):
     rep.run("allegorical-relation",
             lambda: check_allegorical_relation(ctx.cat, view.equiv,
                                                ctx.carrier.morphisms()), spec)
-    e_like = ctx.system.E if ctx.args.relation == "simE" else \
-        ctx.mor_class("ecirc") if ctx.args.relation == "simEo" else \
-        ctx.mor_class("ebullet") if ctx.args.relation == "simEbullet" else None
+    e_like = ctx.e_like()
     if e_like is not None:
         rep.run("retraction-criterion",
                 lambda: check_allegorical_criterion(

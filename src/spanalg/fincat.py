@@ -21,20 +21,18 @@ class Functor:
     omap: tuple   # (obj, obj') sorted
     mmap: tuple   # (mor, mor') sorted
 
-    def on_obj(self, a):
-        return dict(self.omap)[a]
-
-    def on_mor(self, m):
-        return dict(self.mmap)[m]
-
     def __repr__(self):
         return f"Functor(omap={dict(self.omap)}, mmap={dict(self.mmap)})"
 
 
+def _functor(dom, cod, omap, mmap):
+    """A Functor from (source, image) pairs, sorted into the canonical
+    form that structural equality relies on."""
+    return Functor(dom, cod, tuple(sorted(omap, key=repr)), tuple(sorted(mmap, key=repr)))
+
+
 def make_functor(dom, cod, omap, mmap):
-    f = Functor(dom, cod,
-                tuple(sorted(omap.items(), key=repr)),
-                tuple(sorted(mmap.items(), key=repr)))
+    f = _functor(dom, cod, omap.items(), mmap.items())
     check_functor(f)
     return f
 
@@ -77,9 +75,7 @@ def enumerate_functors(c, d):
                 if not ok:
                     break
             if ok:
-                result.append(Functor(c, d,
-                                      tuple(sorted(omap.items(), key=repr)),
-                                      tuple(sorted(mmap.items(), key=repr))))
+                result.append(_functor(c, d, omap.items(), mmap.items()))
     return result
 
 
@@ -161,6 +157,27 @@ def _fill_tables(objs, mors, ids, dom, cod, names, pairs):
     return out
 
 
+def _sub_product(c, d, obj_ok, mor_ok):
+    """The table of c x d on the object pairs and morphism pairs that pass
+    the filters, with its two projections: the product when both filters
+    accept everything, a pullback when they test agreement in a cospan."""
+    objs = [(a, b) for a in c.objects for b in d.objects if obj_ok(a, b)]
+    mors = [((u, v), (c.dom(u), d.dom(v)), (c.cod(u), d.cod(v)))
+            for u in c.mor_ids() for v in d.mor_ids() if mor_ok(u, v)]
+    ids = {(a, b): (c.identity(a), d.identity(b)) for a, b in objs}
+    comp = {}
+    for (u, v), _, _ in mors:
+        for (u2, v2), _, _ in mors:
+            if c.cod(u) == c.dom(u2) and d.cod(v) == d.dom(v2):
+                comp[((u2, v2), (u, v))] = (c.compose(u2, u), d.compose(v2, v))
+    apex = make_table(objs, mors, ids, comp)
+    p1 = _functor(apex, c, (((a, b), a) for a, b in objs),
+                  (((u, v), u) for (u, v), _, _ in mors))
+    p2 = _functor(apex, d, (((a, b), b) for a, b in objs),
+                  (((u, v), v) for (u, v), _, _ in mors))
+    return apex, p1, p2
+
+
 class FinCatCategory(Category):
     name = "fincat"
 
@@ -178,16 +195,13 @@ class FinCatCategory(Category):
         return enumerate_functors(c, d)
 
     def identity(self, c):
-        return Functor(c, c,
-                       tuple(sorted(((a, a) for a in c.objects), key=repr)),
-                       tuple(sorted(((m, m) for m in c.mor_ids()), key=repr)))
+        return _functor(c, c, ((a, a) for a in c.objects), ((m, m) for m in c.mor_ids()))
 
     def compose(self, g, f):
         self._check_composable(g, f)
         gom, gmm = dict(g.omap), dict(g.mmap)
-        return Functor(f.dom, g.cod,
-                       tuple(sorted(((a, gom[b]) for a, b in f.omap), key=repr)),
-                       tuple(sorted(((m, gmm[n]) for m, n in f.mmap), key=repr)))
+        return _functor(f.dom, g.cod, ((a, gom[b]) for a, b in f.omap),
+                        ((m, gmm[n]) for m, n in f.mmap))
 
     # -- limits ---------------------------------------------------------
 
@@ -195,36 +209,19 @@ class FinCatCategory(Category):
         t = one_object()
 
         def bang(c):
-            return Functor(c, t,
-                           tuple(sorted(((a, 0) for a in c.objects), key=repr)),
-                           tuple(sorted(((m, "i") for m in c.mor_ids()), key=repr)))
+            return _functor(c, t, ((a, 0) for a in c.objects),
+                            ((m, "i") for m in c.mor_ids()))
 
         return t, bang
 
     def product(self, c, d):
-        objs = [(a, b) for a in c.objects for b in d.objects]
-        mors = [((u, v), (c.dom(u), d.dom(v)), (c.cod(u), d.cod(v)))
-                for u in c.mor_ids() for v in d.mor_ids()]
-        ids = {(a, b): (c.identity(a), d.identity(b)) for a, b in objs}
-        comp = {}
-        for (u, v), _, _ in mors:
-            for (u2, v2), _, _ in mors:
-                if c.cod(u) == c.dom(u2) and d.cod(v) == d.dom(v2):
-                    comp[((u2, v2), (u, v))] = (c.compose(u2, u), d.compose(v2, v))
-        apex = make_table(objs, mors, ids, comp)
-        pi1 = Functor(apex, c,
-                      tuple(sorted((((a, b), a) for a, b in objs), key=repr)),
-                      tuple(sorted((((u, v), u) for (u, v), _, _ in mors), key=repr)))
-        pi2 = Functor(apex, d,
-                      tuple(sorted((((a, b), b) for a, b in objs), key=repr)),
-                      tuple(sorted((((u, v), v) for (u, v), _, _ in mors), key=repr)))
+        apex, pi1, pi2 = _sub_product(c, d, lambda a, b: True, lambda u, v: True)
 
         def pair(f, g):
             fo, fm = dict(f.omap), dict(f.mmap)
             go, gm = dict(g.omap), dict(g.mmap)
-            return Functor(f.dom, apex,
-                           tuple(sorted(((a, (fo[a], go[a])) for a in f.dom.objects), key=repr)),
-                           tuple(sorted(((m, (fm[m], gm[m])) for m in f.dom.mor_ids()), key=repr)))
+            return _functor(f.dom, apex, ((a, (fo[a], go[a])) for a in f.dom.objects),
+                            ((m, (fm[m], gm[m])) for m in f.dom.mor_ids()))
 
         return ProductResult(apex, pi1, pi2, pair)
 
@@ -233,23 +230,8 @@ class FinCatCategory(Category):
         c, d = f.dom, g.dom
         fo, fm = dict(f.omap), dict(f.mmap)
         go, gm = dict(g.omap), dict(g.mmap)
-        objs = [(a, b) for a in c.objects for b in d.objects if fo[a] == go[b]]
-        mors = [((u, v), (c.dom(u), d.dom(v)), (c.cod(u), d.cod(v)))
-                for u in c.mor_ids() for v in d.mor_ids()
-                if fm[u] == gm[v]]
-        ids = {(a, b): (c.identity(a), d.identity(b)) for a, b in objs}
-        comp = {}
-        for (u, v), _, _ in mors:
-            for (u2, v2), _, _ in mors:
-                if c.cod(u) == c.dom(u2) and d.cod(v) == d.dom(v2):
-                    comp[((u2, v2), (u, v))] = (c.compose(u2, u), d.compose(v2, v))
-        apex = make_table(objs, mors, ids, comp)
-        p1 = Functor(apex, c,
-                     tuple(sorted((((a, b), a) for a, b in objs), key=repr)),
-                     tuple(sorted((((u, v), u) for (u, v), _, _ in mors), key=repr)))
-        p2 = Functor(apex, d,
-                     tuple(sorted((((a, b), b) for a, b in objs), key=repr)),
-                     tuple(sorted((((u, v), v) for (u, v), _, _ in mors), key=repr)))
+        apex, p1, p2 = _sub_product(c, d, lambda a, b: fo[a] == go[b],
+                                    lambda u, v: fm[u] == gm[v])
 
         def mediate(u, v):
             if u.dom != v.dom or u.cod != c or v.cod != d:
@@ -258,13 +240,11 @@ class FinCatCategory(Category):
             vo, vm = dict(v.omap), dict(v.mmap)
             omap = {a: (uo[a], vo[a]) for a in u.dom.objects}
             mmap = {m: (um[m], vm[m]) for m in u.dom.mor_ids()}
-            if any(o not in ids for o in omap.values()):
+            if any(o not in apex.objects for o in omap.values()):
                 return None
-            if any(m not in {mm for mm, _, _ in mors} for m in mmap.values()):
+            if not set(mmap.values()) <= set(apex.mor_ids()):
                 return None
-            return Functor(u.dom, apex,
-                           tuple(sorted(omap.items(), key=repr)),
-                           tuple(sorted(mmap.items(), key=repr)))
+            return _functor(u.dom, apex, omap.items(), mmap.items())
 
         return PullbackResult(apex, p1, p2, mediate)
 

@@ -45,11 +45,7 @@ class FinSetCategory(Category):
         return range(self.max_size + 1)
 
     def hom(self, a, b):
-        if a == 0:
-            return [FinMor(0, b, ())]
-        if b == 0:
-            return []
-        return [FinMor(a, b, t) for t in iproduct(range(b), repeat=a)]
+        return list(self.hom_iter(a, b))
 
     def hom_iter(self, a, b):
         if a == 0:

@@ -50,10 +50,6 @@ def graph(cat, f):
     return Span(f.dom, cat.identity(f.dom), f)
 
 
-def cograph(cat, f):
-    return Span(f.dom, f, cat.identity(f.dom))
-
-
 def involution(s):
     return Span(s.apex, s.right, s.left)
 
@@ -105,21 +101,6 @@ def vertically_isomorphic(cat, s1, s2):
     return None
 
 
-def le_E(cat, e_class, s1, s2):
-    """(f,g) <=_E (h,k): an E-valued two-cell s1 -> s2."""
-    _require_parallel(s1, s2)
-    unknown = False
-    for u in two_cells(cat, s1, s2):
-        v = e_class.membership(u)
-        if v.holds:
-            return Verdict.yes(u, "E-valued two-cell")
-        if v.unknown:
-            unknown = True
-    if unknown:
-        return Verdict.maybe("a two-cell had undecided membership")
-    return Verdict.no(reason="hom exhausted without an E-valued two-cell")
-
-
 def approx(cat, s1, s2):
     """Two-cells in both directions (the least allegorical equivalence)."""
     _require_parallel(s1, s2)
@@ -147,7 +128,9 @@ class SpanEquivalence:
         raise NotImplementedError
 
     def key(self, s):
-        """Hashable canonical key, or None when no canonical form exists."""
+        """Hashable canonical key, or None when no canonical form exists.
+        An equivalence that returns keys also defines span_of_key(k), the
+        representative span of the key's class."""
         return None
 
 
@@ -191,6 +174,10 @@ class FactorizationEquivalence(SpanEquivalence):
         # row-multiset-preserving bijections, so this is complete
         return (s.dom, s.cod, tuple(sorted(zip(c.left.table, c.right.table))))
 
+    def span_of_key(self, k):
+        a, b, rows = k
+        return _rows_span(a, b, rows)
+
     def equal(self, s1, s2):
         _require_parallel(s1, s2)
         k1, k2 = self.key(s1), self.key(s2)
@@ -211,21 +198,17 @@ class StableClassEquivalence(SpanEquivalence):
 
     On FinSet the search enumerates subsets of the comparison pullback
     Q = {(d, e) | <f,g>(d) = <h,k>(e)}; this is complete whenever every
-    member of E is monic or membership depends only on the leg's image
-    (all builtin classes qualify), and conservative (Unknown) otherwise.
+    member of E is monic or membership depends only on the leg's image.
+    A class that qualifies says so by `subset_search_complete`, set where
+    it is built; the search is conservative (Unknown) otherwise.
     """
 
     tag = "simE"
     subset_budget = 1 << 16
 
-    def __init__(self, cat, e_class, complete=None):
+    def __init__(self, cat, e_class):
         super().__init__(cat)
         self.e_class = e_class
-        if complete is None:
-            complete = getattr(e_class, "subset_search_complete", False) or \
-                e_class.name in ("isos", "monos", "epis", "splitEpis", "all",
-                                 "surjective", "injective")
-        self.complete = complete
 
     def equal(self, s1, s2):
         _require_parallel(s1, s2)
@@ -259,7 +242,7 @@ class StableClassEquivalence(SpanEquivalence):
                 if vx.holds and vy.holds:
                     return Verdict.yes((x, y), "middle span")
                 seen_unknown = True
-        if seen_unknown or not self.complete:
+        if seen_unknown or not self.e_class.subset_search_complete:
             return Verdict.maybe("no certified middle span at the bound")
         return Verdict.no(reason="subset enumeration exhausted")
 
@@ -277,7 +260,7 @@ class StableClassEquivalence(SpanEquivalence):
                     return Verdict.yes((x, y), "middle span")
                 if vx.unknown or vy.unknown:
                     seen_unknown = True
-        if seen_unknown or not self.complete:
+        if seen_unknown or not self.e_class.subset_search_complete:
             return Verdict.maybe("object stream exhausted without certification")
         return Verdict.no(reason="object stream exhausted")
 
@@ -338,10 +321,14 @@ def enumerate_hom_classes(cat, equiv, a, b):
 
 def relation_span(cat, a, b, pairs):
     """The canonical monic span for a set of pairs in a x b (FinSet)."""
-    pairs = tuple(sorted(set(pairs)))
-    n = len(pairs)
-    return Span(n, FinMor(n, a, tuple(x for x, _ in pairs)),
-                FinMor(n, b, tuple(y for _, y in pairs)))
+    return _rows_span(a, b, tuple(sorted(set(pairs))))
+
+
+def _rows_span(a, b, rows):
+    """FinSet: the span whose apex indexes the (x, y) rows, with multiplicity."""
+    n = len(rows)
+    return Span(n, FinMor(n, a, tuple(x for x, _ in rows)),
+                FinMor(n, b, tuple(y for _, y in rows)))
 
 
 def span_pairs(s):

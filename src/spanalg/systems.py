@@ -5,12 +5,12 @@ procedure; `validate_system` produces the evidence report required before
 a system is trusted by downstream modules.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .classes import Carrier, MorClass, builtin_class, validate_stable_system
 from .errors import ConfigError
-from .fincat import FinCatCategory, Functor, make_functor
+from .fincat import FinCatCategory, make_functor
 from .finset import FinMor, FinSetCategory
 from .tablecat import make_table
 from .thin import ThinCategory
@@ -24,7 +24,6 @@ class FactSystem:
     E: MorClass
     M: MorClass
     factor: Callable  # f -> (e, m) with m . e = f
-    evidence: Verdict = None
 
 
 # -- FinSet systems -----------------------------------------------------------
@@ -41,20 +40,15 @@ def finset_system(cat, name):
     if name == "surj-inj":
         return FactSystem(name, cat, builtin_class(cat, "surjective"),
                           builtin_class(cat, "injective"), _finset_image_factor)
-    if name == "iso-all":
-        return FactSystem(name, cat, builtin_class(cat, "isos"),
-                          builtin_class(cat, "all"),
-                          lambda f: (cat.identity(f.dom), f))
-    if name == "all-iso":
-        return FactSystem(name, cat, builtin_class(cat, "all"),
-                          builtin_class(cat, "isos"),
-                          lambda f: (f, cat.identity(f.cod)))
+    if name in ("iso-all", "all-iso"):
+        return thin_system(cat, name)
     raise ConfigError(f"unknown FinSet system {name!r}")
 
 
 # -- thin systems -------------------------------------------------------------
 
 def thin_system(cat, name):
+    """The two trivial systems, valid in any category; FinSet reuses them."""
     if name == "iso-all":
         return FactSystem(name, cat, builtin_class(cat, "isos"),
                           builtin_class(cat, "all"),
@@ -152,9 +146,7 @@ def validate_system(system, carrier):
         if ve.unknown or vm.unknown:
             verdicts.append(Verdict.maybe("membership of a factor part undecided"))
     verdicts.append(_check_uniqueness(system, carrier))
-    result = combine(verdicts)
-    system.evidence = result
-    return result
+    return combine(verdicts)
 
 
 def _check_uniqueness(system, carrier):

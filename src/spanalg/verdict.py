@@ -5,7 +5,7 @@ bool: Holds, Fails (with a replayable witness), or Unknown (a search
 budget ran out before a decision was reached).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 HOLDS = "Holds"

@@ -41,8 +41,8 @@ def rel_view(C, surj_inj):
 
 
 @pytest.fixture(scope="session")
-def ebullet_class(C, iso_all, carrier):
-    return e_bullet(C, iso_all, carrier)
+def ebullet_class(C, iso_all, carrier, mstar_class):
+    return e_bullet(C, iso_all, carrier, mstar_class)
 
 
 @pytest.fixture(scope="session")

@@ -280,6 +280,15 @@ def test_equal_on_representatives_is_cached(make_view):
                 (direct.outcome, direct.witness, direct.reason)
 
 
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_identity_is_cached(make_view):
+    view = make_view()
+    first = [view.identity(a) for a in view.objects]
+    calls = _count_decider_calls(view.equiv)
+    assert all(view.identity(a) is r for a, r in zip(view.objects, first))
+    assert calls == {"key": 0, "equal": 0}
+
+
 # -- the view against the relational oracle ----------------------------------------
 
 def _relations(a, b):

@@ -1,8 +1,9 @@
 import pytest
 
-from spanalg import (Carrier, builtin_class, check_splitepi_mono_agreement,
-                     composition_closure, conjugates, explicit_class, fin,
-                     split_epi_class, union_class, validate_stable_system)
+from spanalg import (Carrier, FinCatCategory, builtin_class,
+                     check_splitepi_mono_agreement, composition_closure, conjugates,
+                     explicit_class, fin, split_epi_class, union_class,
+                     validate_stable_system)
 from spanalg.systems import finset_system, thin_system, validate_system
 from spanalg.thin import ThinCategory
 
@@ -113,10 +114,19 @@ def test_ebullet_is_injections_and_total_on_finset(C, ebullet_class, carrier):
 
 
 def test_ebullet_of_surj_inj_stays_put(C, carrier, surj_inj):
-    from spanalg import e_bullet
-    eb = e_bullet(C, surj_inj, carrier)
+    from spanalg import e_bullet, m_star
+    eb = e_bullet(C, surj_inj, carrier, m_star(C, surj_inj.M, carrier))
     for f in carrier.morphisms():
         assert eb.membership(f).holds == surj_inj.E.membership(f).holds
+
+
+def test_subset_search_completeness_is_set_where_classes_are_built(C):
+    for name in ("isos", "monos", "epis", "splitEpis", "all", "surjective", "injective"):
+        assert builtin_class(C, name).subset_search_complete
+    assert split_epi_class(C).subset_search_complete
+    fc = FinCatCategory(max_objects=1, max_morphisms=1)
+    for name in ("bijObj", "surjObj", "ff", "ffInjObj"):
+        assert not builtin_class(fc, name).subset_search_complete
 
 
 def test_union_class(C, carrier):

@@ -68,6 +68,26 @@ def test_pullback_of_functors(FC):
     assert FC.compose(pb.p1, m) == FC.identity(w)
 
 
+def test_pullback_mediator_refuses_a_cone_outside_the_apex(FC):
+    w = walking_arrow()
+    t = one_object()
+    at0, at1 = FC.hom(t, w)
+    pb = FC.pullback(at0, at1)
+    assert not pb.apex.objects
+    assert pb.mediate(FC.identity(t), FC.identity(t)) is None
+
+
+def test_product_pairing_projects_back(FC, cats):
+    for c, d, x in itertools.product(cats[:4] + [walking_arrow()], repeat=3):
+        pr = FC.product(c, d)
+        for f in FC.hom(x, c):
+            for g in FC.hom(x, d):
+                h = pr.pair(f, g)
+                check_functor(h)
+                assert FC.compose(pr.pi1, h) == f
+                assert FC.compose(pr.pi2, h) == g
+
+
 def test_predicate_overrides(FC):
     w = walking_arrow()
     t = one_object()

@@ -1,0 +1,43 @@
+"""CLI reports stay byte-identical to the committed golden files.
+
+Each file in tests/golden/ is the `--out` report of one quick CLI command,
+named in COMMANDS. A change that means to alter a report replaces its
+golden file in the same commit and says why.
+"""
+
+import pathlib
+
+import pytest
+
+from spanalg.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "finset-validate": ["validate", "--category", "finset", "--max-size", "2"],
+    "finset-quotient": ["quotient", "--category", "finset", "--max-size", "2"],
+    "finset-tabulate": ["tabulate", "--category", "finset", "--max-size", "2"],
+    "finset-check-allegory-surj-inj": ["check-allegory", "--category", "finset",
+                                       "--system", "surj-inj", "--max-size", "2"],
+    "finset-check-allegory-iso-all": ["check-allegory", "--category", "finset",
+                                      "--system", "iso-all", "--max-size", "2"],
+    "finset-ebullet-iso-all": ["ebullet", "--category", "finset", "--system", "iso-all",
+                               "--max-size", "2"],
+    "finset-map-counit": ["map-counit", "--category", "finset", "--max-size", "1"],
+    "thin-check-allegory": ["check-allegory", "--category", "thin", "--max-size", "4"],
+    "thin-tabulate": ["tabulate", "--category", "thin", "--max-size", "3"],
+    "thin-map-counit": ["map-counit", "--category", "thin", "--max-size", "3"],
+    "thin-ebullet": ["ebullet", "--category", "thin", "--max-size", "3"],
+    "fincat-map-counit": ["map-counit", "--category", "fincat", "--max-size", "1"],
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.jsonl")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    main(COMMANDS[name] + ["--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
