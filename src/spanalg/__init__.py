@@ -11,8 +11,7 @@ from .allegory import (AllegoryView, MapWitness, Tabulation, UnitWitness,
 from .category import Category, ProductResult, PullbackResult, check_associativity
 from .classes import (Carrier, MorClass, builtin_class, check_splitepi_mono_agreement,
                       composition_closure, conjugates, e_bullet, e_circ,
-                      explicit_class, m_star, split_epi_class, union_class,
-                      validate_stable_system)
+                      explicit_class, m_star, union_class, validate_stable_system)
 from .errors import (ConfigError, DomainMismatch, EnumerationUnavailable,
                      LimitUnavailable, NoTerminal, NotParallel, ParseError,
                      SpanalgError, TabulationFailed)

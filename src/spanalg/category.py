@@ -89,6 +89,24 @@ class Category:
     def kernel_pair(self, f):
         return self.pullback(f, f)
 
+    # -- instance hooks: what the span layer asks of an instance -----------
+
+    def subobjects(self, x):
+        """The maps into x that a middle-span search tries, in order: by
+        default every map into x from each object of the stream."""
+        for w in self.objects():
+            yield from self.hom_iter(w, x)
+
+    # Canonical row form of spans, or None. An instance with one defines
+    # span_rows(left, right), equal exactly on vertically isomorphic spans,
+    # and span_of_rows(a, b, rows) -> (apex, left, right) rebuilding a span.
+    span_rows = None
+
+    def e_bullet_facts(self, system, members):
+        """(extra certification rules, monic-complete) that the instance
+        proves for E_bullet with these carrier members; by default none."""
+        return (), False
+
     # -- predicates ------------------------------------------------------
     # Generic fallbacks enumerate homs over the probe carrier (all objects
     # of the instance stream); Fails verdicts carry replayable witnesses.

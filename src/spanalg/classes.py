@@ -181,11 +181,6 @@ def composition_closure(cat, x_class, carrier, include_isos=True):
     return MorClass(f"({x_class.name})^c", members=frozenset(members), carrier=carrier)
 
 
-def split_epi_class(cat):
-    return MorClass("splitEpis", membership_fn=cat.is_split_epi,
-                    subset_search_complete=True)
-
-
 def _iso_rule(cat):
     def rule(f):
         v = cat.is_iso(f)
@@ -202,24 +197,15 @@ def _member_rule(base):
 
 def _section_of_m_rule(cat, m_class):
     """Certify directly: any s with rs = 1 for some r in M lies in M*.
-
-    FinSet shortcut builds one canonical retraction instead of searching
-    hom (which is huge for large codomains)."""
-    from .finset import FinMor, FinSetCategory
+    The retractions are searched in hom order, so the witness is the
+    first one in M. A section is monic, so a proof that s is not monic
+    settles the rule without the search, which grows as dom^cod."""
 
     def rule(s):
-        if isinstance(cat, FinSetCategory):
-            if len(set(s.table)) != s.dom or (s.dom == 0 and s.cod > 0):
-                return Verdict.no()
-            table = [0] * s.cod
-            for x, y in enumerate(s.table):
-                table[y] = x
-            r = FinMor(s.cod, s.dom, tuple(table))
-            if m_class.membership(r).holds:
-                return Verdict.yes(r, "section of an M-retraction")
+        if cat.is_mono(s).fails:
             return Verdict.no()
         ident = cat.identity(s.dom)
-        for r in cat.hom(s.cod, s.dom):
+        for r in cat.hom_iter(s.cod, s.dom):
             if cat.compose(r, s) == ident and m_class.membership(r).holds:
                 return Verdict.yes(r, "section of an M-retraction")
         return Verdict.no()
@@ -227,29 +213,13 @@ def _section_of_m_rule(cat, m_class):
     return rule
 
 
-def _empty_domain_rule(cat, members):
-    """FinSet: 0 -> X is a pullback of any member 0 -> c (c >= 1) along a
-    constant map X -> c, hence in the pullback closure."""
-    from .finset import FinSetCategory
-    if not isinstance(cat, FinSetCategory):
-        return lambda f: Verdict.no()
-    seeds = [m for m in members if m.dom == 0 and m.cod >= 1]
-
-    def rule(f):
-        if f.dom == 0 and seeds:
-            return Verdict.yes(seeds[0], "pullback of an initial-domain member")
-        return Verdict.no()
-
-    return rule
-
-
 def e_circ(cat, e_class, carrier):
     """Least stable system containing E and all split epimorphisms."""
-    gen = union_class(f"{e_class.name}+splitEpi", e_class, split_epi_class(cat))
+    split = builtin_class(cat, "splitEpis")
+    gen = union_class(f"{e_class.name}+splitEpi", e_class, split)
     out = composition_closure(cat, gen, carrier)
     out.name = f"({e_class.name})_o"
-    out.rules = (_iso_rule(cat), _member_rule(e_class),
-                 _member_rule(split_epi_class(cat)))
+    out.rules = (_iso_rule(cat), _member_rule(e_class), _member_rule(split))
     return out
 
 
@@ -320,25 +290,16 @@ def m_star(cat, m_class, carrier):
 def e_bullet(cat, system, carrier, mstar):
     """Least stable system containing E and M*: the composition closure of
     their union on the carrier, with M* = m_star(cat, system.M, carrier)
-    built by the caller.
-
-    On FinSet with E = Iso, every conjugate is an inclusion of pullback
-    sets (hence monic), so the whole closure provably consists of
-    injections and the certification rules cover all of them; membership
-    is then total rather than bound-relative.
+    built by the caller. What the instance proves beyond the generic
+    rules comes from `cat.e_bullet_facts`.
     """
-    from .finset import FinSetCategory
     gen = union_class(f"{system.E.name}+M*", system.E, mstar)
     out = composition_closure(cat, gen, carrier)
     out.name = f"({system.E.name})_bullet"
+    extra_rules, monic = cat.e_bullet_facts(system, out.members)
     out.rules = (_iso_rule(cat), _member_rule(system.E),
-                 _section_of_m_rule(cat, system.M),
-                 _empty_domain_rule(cat, out.members))
-    if isinstance(cat, FinSetCategory) and system.E.name == "isos":
-        mono = cat.is_mono
-        if all(mono(f).holds for f in out.members):
-            out.monic_complete = True
-            out.subset_search_complete = True
+                 _section_of_m_rule(cat, system.M)) + extra_rules
+    out.monic_complete = out.subset_search_complete = monic
     return out
 
 

@@ -20,8 +20,8 @@ from .allegory import (AllegoryView, allegory_suite, check_allegorical_criterion
                        check_allegorical_relation, check_modular_law, counit_check,
                        effective_retraction_sample, find_unit, map_category,
                        tabulate)
-from .classes import Carrier, check_splitepi_mono_agreement, e_bullet, e_circ, m_star
-from .errors import ParseError, SpanalgError, TabulationFailed
+from .classes import check_splitepi_mono_agreement, e_bullet, e_circ, m_star
+from .errors import ConfigError, ParseError, SpanalgError, TabulationFailed
 from .fincat import FinCatCategory
 from .finset import FinSetCategory
 from .spans import Span, make_equivalence
@@ -64,12 +64,16 @@ def _common_flags(sp):
 
 def build_category(args):
     if args.category == "finset":
+        if not 0 <= args.max_size <= 3:
+            raise ConfigError(f"--category finset takes --max-size 0..3, not {args.max_size}")
         return FinSetCategory(args.max_size)
     if args.category == "thin":
         return ThinCategory.chain(max(args.max_size, 1))
     if args.category == "fincat":
         return FinCatCategory(max_objects=min(args.max_size, 2), max_morphisms=3)
     if args.category == "table":
+        if args.command != "validate":
+            raise ParseError(f"--category table supports only validate, not {args.command}")
         if not args.file:
             raise ParseError("--category table needs --file")
         return load_table_json(args.file)
@@ -83,22 +87,16 @@ def default_system_name(args):
             "fincat": "bijObj-ff"}.get(args.category, "iso-all")
 
 
-def build_carrier(cat, args):
-    if isinstance(cat, FinSetCategory):
-        return default_carrier(cat)
-    objs = cat.objects if isinstance(cat.objects, tuple) else cat.objects()
-    return Carrier(cat, list(itertools.islice(iter(objs), args.bound)))
-
-
 class Context:
-    """Everything a command needs, built once per invocation."""
+    """Everything a command needs, built once per invocation. A table is
+    only validated, so it gets no carrier and no system."""
 
     def __init__(self, args):
         self.args = args
         self.cat = build_category(args)
-        self.carrier = build_carrier(self.cat, args)
-        self.system = None
+        self.carrier = self.system = None
         if args.category != "table":
+            self.carrier = default_carrier(self.cat)
             self.system = named_system(self.cat, default_system_name(args))
         self.rng = random.Random(args.seed)
         self._classes = {}
@@ -159,8 +157,7 @@ class Reporter:
         line = {
             "check": check,
             "instance": self.ctx.args.category,
-            "system": default_system_name(self.ctx.args)
-            if self.ctx.args.category != "table" else None,
+            "system": self.ctx.system.name if self.ctx.system else None,
             "relation": self.ctx.args.relation,
             "sampleSpec": sample_spec or {},
             "verdict": verdict.outcome,
@@ -343,7 +340,7 @@ def cmd_tabulate(ctx, rep):
 
 
 def cmd_map_counit(ctx, rep):
-    if isinstance(ctx.cat, FinCatCategory):
+    if ctx.args.category == "fincat":
         # the functor-category variant only runs the inclusion probe; the
         # full map sweep is out of reach of the bounded functor search
         _fincat_probe(ctx, rep)
@@ -358,7 +355,7 @@ def cmd_map_counit(ctx, rep):
         rep.record(f"maps-{a}-{b}",
                    Verdict.yes(reason=f"{len(maps)} maps: {tags}"),
                    {"dom": repr(a), "cod": repr(b)})
-    if isinstance(ctx.cat, FinSetCategory):
+    if ctx.args.category == "finset":
         for a, b in itertools.product(objs, repeat=2):
             apexes = range(max(a * b, max(objs)) + 1)
             rep.run(f"counit-{a}-{b}",
@@ -389,27 +386,51 @@ def _fincat_probe(ctx, rep):
     rep.run("probe-M-in-mono", m_sub_mono)
 
 
+def read_report(path):
+    """The lines of a saved report; ParseError on an unreadable file or on
+    a line that is not a JSON object with a check and a config."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(str(exc), path)
+    lines = []
+    for n, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            line = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not JSON: {exc}", f"{path}:{n}")
+        if not isinstance(line, dict) or "check" not in line \
+                or not isinstance(line.get("config"), dict):
+            raise ParseError("not a report line with a check and a config", f"{path}:{n}")
+        lines.append(line)
+    return lines
+
+
 def cmd_replay(args):
-    with open(args.file) as fh:
-        lines = [json.loads(l) for l in fh if l.strip()]
+    lines = read_report(args.file)
     configs = []
     for l in lines:
         if l["config"] not in configs:
             configs.append(l["config"])
     mismatches = 0
     for cfg in configs:
-        argv = [cfg["command"], "--category", cfg["category"],
-                "--relation", cfg["relation"],
-                "--max-size", str(cfg["maxSize"]), "--bound", str(cfg["bound"]),
-                "--seed", str(cfg["seed"]), "--format", "json"]
+        try:
+            argv = [cfg["command"], "--category", cfg["category"],
+                    "--relation", cfg["relation"], "--max-size", cfg["maxSize"],
+                    "--bound", cfg["bound"], "--seed", cfg["seed"], "--format", "json"]
+        except KeyError as exc:
+            raise ParseError(f"config has no {exc}", args.file)
         if cfg.get("system"):
             argv += ["--system", cfg["system"]]
         if cfg.get("file"):
             argv += ["--file", cfg["file"]]
-        ns = build_parser().parse_args(argv)
+        ns = build_parser().parse_args([str(a) for a in argv])
         ctx = Context(ns)
         rep = Reporter(ctx)
-        COMMANDS[cfg["command"]](ctx, rep)
+        COMMANDS[ns.command](ctx, rep)
         fresh = {l2["check"]: l2 for l2 in rep.lines}
         for l in lines:
             if l["config"] != cfg:
@@ -434,9 +455,9 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "replay":
-        return cmd_replay(args)
     try:
+        if args.command == "replay":
+            return cmd_replay(args)
         ctx = Context(args)
         rep = Reporter(ctx)
         COMMANDS[args.command](ctx, rep)

@@ -6,7 +6,7 @@ pullbacks, products and factorizations are deterministic.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .category import Category, ProductResult, PullbackResult
 from .errors import DomainMismatch
@@ -101,6 +101,41 @@ class FinSetCategory(Category):
                 return None
 
         return PullbackResult(apex, p1, p2, mediate)
+
+    # -- instance hooks ---------------------------------------------------
+
+    def subobjects(self, x):
+        """One increasing injection per subset of x, in size-then-lex
+        order: every subobject of x exactly once."""
+        for k in range(x + 1):
+            for combo in combinations(range(x), k):
+                yield FinMor(k, x, combo)
+
+    def span_rows(self, left, right):
+        # vertical isos are exactly the row-multiset-preserving bijections
+        return tuple(sorted(zip(left.table, right.table)))
+
+    def span_of_rows(self, a, b, rows):
+        n = len(rows)
+        return (n, FinMor(n, a, tuple(x for x, _ in rows)),
+                FinMor(n, b, tuple(y for _, y in rows)))
+
+    def e_bullet_facts(self, system, members):
+        """0 -> X is a pullback of any member 0 -> c (c >= 1) along a
+        constant map X -> c, hence in the pullback closure. With E = Iso
+        every conjugate is an inclusion of pullback sets, hence monic, so
+        when every member is monic the class lies within the injections,
+        the rules certify all of them, and membership is total rather than
+        bound-relative."""
+        seeds = [m for m in members if m.dom == 0 and m.cod >= 1]
+
+        def empty_domain(f):
+            if f.dom == 0 and seeds:
+                return Verdict.yes(seeds[0], "pullback of an initial-domain member")
+            return Verdict.no()
+
+        monic = system.E.name == "isos" and all(self.is_mono(f).holds for f in members)
+        return (empty_domain,), monic
 
     # -- closed-form predicates ---------------------------------------------
 

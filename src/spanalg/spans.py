@@ -15,10 +15,8 @@ quotient relations implemented here:
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotParallel
-from .finset import FinMor, FinSetCategory
 from .verdict import Verdict
 
 
@@ -167,16 +165,15 @@ class FactorizationEquivalence(SpanEquivalence):
         return Span(m.dom, self.cat.compose(pr.pi1, m), self.cat.compose(pr.pi2, m))
 
     def key(self, s):
-        if not isinstance(self.cat, FinSetCategory):
+        # the row form of the M-part; asked before the M-part is built,
+        # since rep() calls key on every lookup
+        if self.cat.span_rows is None:
             return None
         c = self.m_part(s)
-        # sorted row multiset: vertical isos are exactly the
-        # row-multiset-preserving bijections, so this is complete
-        return (s.dom, s.cod, tuple(sorted(zip(c.left.table, c.right.table))))
+        return (s.dom, s.cod, self.cat.span_rows(c.left, c.right))
 
     def span_of_key(self, k):
-        a, b, rows = k
-        return _rows_span(a, b, rows)
+        return Span(*self.cat.span_of_rows(*k))
 
     def equal(self, s1, s2):
         _require_parallel(s1, s2)
@@ -196,11 +193,13 @@ class StableClassEquivalence(SpanEquivalence):
     """sim_E for a bare stable class E, in single-witness form: search for
     a middle span with both comparison legs in E.
 
-    On FinSet the search enumerates subsets of the comparison pullback
-    Q = {(d, e) | <f,g>(d) = <h,k>(e)}; this is complete whenever every
-    member of E is monic or membership depends only on the leg's image.
-    A class that qualifies says so by `subset_search_complete`, set where
-    it is built; the search is conservative (Unknown) otherwise.
+    The search runs over `cat.subobjects(Q)` of the comparison pullback Q
+    of the two pairings, at most `subset_budget` candidates. On FinSet
+    these are the subsets of Q = {(d, e) | <f,g>(d) = <h,k>(e)}, which is
+    complete whenever every member of E is monic or membership depends
+    only on the leg's image. A class that qualifies says so by
+    `subset_search_complete`, set where it is built; the search is
+    conservative (Unknown) otherwise.
     """
 
     tag = "simE"
@@ -212,57 +211,29 @@ class StableClassEquivalence(SpanEquivalence):
 
     def equal(self, s1, s2):
         _require_parallel(s1, s2)
-        if not isinstance(self.cat, FinSetCategory):
-            return self._generic_equal(s1, s2)
-        return self._finset_equal(s1, s2)
-
-    def _comparison_pairs(self, s1, s2):
-        return [(d, e) for d in range(s1.apex) for e in range(s2.apex)
-                if s1.left.table[d] == s2.left.table[e]
-                and s1.right.table[d] == s2.right.table[e]]
-
-    def _finset_equal(self, s1, s2):
-        pairs = self._comparison_pairs(s1, s2)
-        n = len(pairs)
+        cat = self.cat
+        pr = cat.product(s1.dom, s1.cod)
+        q = cat.pullback(pr.pair(s1.left, s1.right), pr.pair(s2.left, s2.right))
         seen_unknown = False
         budget = self.subset_budget
-        for size in range(n + 1):
-            for combo in combinations(range(n), size):
-                budget -= 1
-                if budget < 0:
-                    return Verdict.maybe("subset budget exhausted")
-                x = FinMor(size, s1.apex, tuple(pairs[i][0] for i in combo))
-                y = FinMor(size, s2.apex, tuple(pairs[i][1] for i in combo))
-                vx = self.e_class.membership(x)
-                if vx.fails:
-                    continue
-                vy = self.e_class.membership(y)
-                if vy.fails:
-                    continue
-                if vx.holds and vy.holds:
-                    return Verdict.yes((x, y), "middle span")
-                seen_unknown = True
+        for u in cat.subobjects(q.apex):
+            budget -= 1
+            if budget < 0:
+                return Verdict.maybe("subset budget exhausted")
+            x = cat.compose(q.p1, u)
+            vx = self.e_class.membership(x)
+            if vx.fails:
+                continue
+            y = cat.compose(q.p2, u)
+            vy = self.e_class.membership(y)
+            if vy.fails:
+                continue
+            if vx.holds and vy.holds:
+                return Verdict.yes((x, y), "middle span")
+            seen_unknown = True
         if seen_unknown or not self.e_class.subset_search_complete:
             return Verdict.maybe("no certified middle span at the bound")
         return Verdict.no(reason="subset enumeration exhausted")
-
-    def _generic_equal(self, s1, s2):
-        _, p1 = pairing(self.cat, s1)
-        _, p2 = pairing(self.cat, s2)
-        q = self.cat.pullback(p1, p2)
-        seen_unknown = False
-        for w in self.cat.objects():
-            for u in self.cat.hom(w, q.apex):
-                x = self.cat.compose(q.p1, u)
-                y = self.cat.compose(q.p2, u)
-                vx, vy = self.e_class.membership(x), self.e_class.membership(y)
-                if vx.holds and vy.holds:
-                    return Verdict.yes((x, y), "middle span")
-                if vx.unknown or vy.unknown:
-                    seen_unknown = True
-        if seen_unknown or not self.e_class.subset_search_complete:
-            return Verdict.maybe("object stream exhausted without certification")
-        return Verdict.no(reason="object stream exhausted")
 
 
 def make_equivalence(cat, relation_tag, system=None, e_class=None):
@@ -287,19 +258,16 @@ def make_equivalence(cat, relation_tag, system=None, e_class=None):
 def enumerate_hom_classes(cat, equiv, a, b):
     """Representatives of the hom-classes a -> b.
 
-    For FinSet with a canonical key this is exact (all subsets of a x b for
-    an M <= mono system); otherwise representatives are collected from
-    spans with apexes in the object stream (bounded) and grouped by the
-    decider, flagged possibly-incomplete via the second return value.
+    Under surj-inj, whose M is the injections, this is exact: a class is
+    its M-part, one per subobject of a x b. Otherwise representatives are
+    collected from spans with apexes in the object stream (bounded) and
+    grouped by the decider, flagged possibly-incomplete via the second
+    return value.
     """
-    if isinstance(cat, FinSetCategory) and isinstance(equiv, FactorizationEquivalence) \
-            and equiv.system.name == "surj-inj":
-        reps = []
-        pairs_all = [(x, y) for x in range(a) for y in range(b)]
-        for r in range(len(pairs_all) + 1):
-            for chosen in combinations(pairs_all, r):
-                reps.append(relation_span(cat, a, b, chosen))
-        return reps, True
+    if isinstance(equiv, FactorizationEquivalence) and equiv.system.name == "surj-inj":
+        pr = cat.product(a, b)
+        return [Span(u.dom, cat.compose(pr.pi1, u), cat.compose(pr.pi2, u))
+                for u in cat.subobjects(pr.apex)], True
     reps = []
     complete = True
     for w in cat.objects():
@@ -320,15 +288,9 @@ def enumerate_hom_classes(cat, equiv, a, b):
 
 
 def relation_span(cat, a, b, pairs):
-    """The canonical monic span for a set of pairs in a x b (FinSet)."""
-    return _rows_span(a, b, tuple(sorted(set(pairs))))
-
-
-def _rows_span(a, b, rows):
-    """FinSet: the span whose apex indexes the (x, y) rows, with multiplicity."""
-    n = len(rows)
-    return Span(n, FinMor(n, a, tuple(x for x, _ in rows)),
-                FinMor(n, b, tuple(y for _, y in rows)))
+    """The canonical monic span for a set of pairs in a x b, on an
+    instance with a row form."""
+    return Span(*cat.span_of_rows(a, b, tuple(sorted(set(pairs)))))
 
 
 def span_pairs(s):

@@ -10,10 +10,9 @@ from typing import Callable
 
 from .classes import Carrier, MorClass, builtin_class, validate_stable_system
 from .errors import ConfigError
-from .fincat import FinCatCategory, make_functor
-from .finset import FinMor, FinSetCategory
+from .fincat import make_functor
+from .finset import FinMor
 from .tablecat import make_table
-from .thin import ThinCategory
 from .verdict import Verdict, combine
 
 
@@ -116,14 +115,14 @@ def fincat_system(cat, name):
     raise ConfigError(f"unknown FinCat system {name!r}")
 
 
+_SYSTEMS = {"finset": finset_system, "thin": thin_system, "fincat": fincat_system}
+
+
 def named_system(cat, name):
-    if isinstance(cat, FinSetCategory):
-        return finset_system(cat, name)
-    if isinstance(cat, ThinCategory):
-        return thin_system(cat, name)
-    if isinstance(cat, FinCatCategory):
-        return fincat_system(cat, name)
-    raise ConfigError(f"no named systems for category {cat.name!r}")
+    build = _SYSTEMS.get(cat.name)
+    if build is None:
+        raise ConfigError(f"no named systems for category {cat.name!r}")
+    return build(cat, name)
 
 
 # -- validation ---------------------------------------------------------------
@@ -178,6 +177,5 @@ def _linked_by_iso(cat, e, m, e2, m2):
 
 
 def default_carrier(cat):
-    if isinstance(cat, FinSetCategory):
-        return Carrier(cat, range(min(cat.max_size, 3) + 1))
+    """Every object of the instance's bounded stream."""
     return Carrier(cat, tuple(cat.objects()))

@@ -2,8 +2,7 @@ import pytest
 
 from spanalg import (Carrier, FinCatCategory, builtin_class,
                      check_splitepi_mono_agreement, composition_closure, conjugates,
-                     explicit_class, fin, split_epi_class, union_class,
-                     validate_stable_system)
+                     explicit_class, fin, union_class, validate_stable_system)
 from spanalg.systems import finset_system, thin_system, validate_system
 from spanalg.thin import ThinCategory
 
@@ -51,7 +50,7 @@ def test_composition_closure_adds_isos(C, carrier):
 
 
 def test_split_epi_class_is_surjections(C, carrier):
-    se = split_epi_class(C)
+    se = builtin_class(C, "splitEpis")
     for f in carrier.morphisms():
         assert se.membership(f).holds == _surjective(f)
 
@@ -123,7 +122,6 @@ def test_ebullet_of_surj_inj_stays_put(C, carrier, surj_inj):
 def test_subset_search_completeness_is_set_where_classes_are_built(C):
     for name in ("isos", "monos", "epis", "splitEpis", "all", "surjective", "injective"):
         assert builtin_class(C, name).subset_search_complete
-    assert split_epi_class(C).subset_search_complete
     fc = FinCatCategory(max_objects=1, max_morphisms=1)
     for name in ("bijObj", "surjObj", "ff", "ffInjObj"):
         assert not builtin_class(fc, name).subset_search_complete

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import spanalg
 from spanalg.cli import main
 
 
@@ -118,3 +123,40 @@ def test_replay_flags_tampered_report(tmp_path, capsys):
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["replay", "--file", str(out)]) == 1
+
+
+ONE_OBJECT = {"objects": ["x"], "morphisms": [{"id": "i", "dom": "x", "cod": "x"}],
+              "identities": {"x": "i"}, "composition": []}
+
+# argv (with {table} and {report} standing for files made by the test) and
+# the message expected on stderr
+INPUT_ERRORS = {
+    **{f"table-{cmd}": ([cmd, "--category", "table", "--file", "{table}"],
+                        f"parse error: --category table supports only validate, not {cmd}")
+       for cmd in ("quotient", "check-allegory", "ebullet", "tabulate", "map-counit")},
+    "finset-max-size-4": (["validate", "--category", "finset", "--max-size", "4"],
+                          "error: --category finset takes --max-size 0..3, not 4"),
+    "replay-missing-file": (["replay", "--file", "{report}.missing"],
+                            "parse error: {report}.missing: [Errno 2] No such file"),
+    "replay-not-json": (["replay", "--file", "{report}"], "parse error: {report}:2: not JSON"),
+    "replay-no-config": (["replay", "--file", "{report}"],
+                         "parse error: {report}:1: not a report line with a check and a config"),
+}
+REPORTS = {"replay-not-json": '{"check": "a", "config": {}}\n{not json\n',
+           "replay-no-config": '{"check": "a", "verdict": "Holds"}\n'}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2_without_traceback(case, tmp_path):
+    table, report = tmp_path / "table.json", tmp_path / "report.jsonl"
+    table.write_text(json.dumps(ONE_OBJECT))
+    report.write_text(REPORTS.get(case, ""))
+    argv, message = INPUT_ERRORS[case]
+    paths = {"table": str(table), "report": str(report)}
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(spanalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spanalg.cli"]
+                          + [a.format(**paths) for a in argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message.format(**paths)), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -101,3 +101,15 @@ def test_effective_retraction_kernel_pair_legs(C):
 
 def test_identity_is_effective(C):
     assert C.is_effective_retraction(C.identity(2)).holds
+
+
+
+def test_subobjects_are_the_subsets_in_size_then_lex_order(C):
+    for n in range(5):
+        subs = list(C.subobjects(n))
+        # each an increasing injection into n
+        assert all(u.cod == n and u.dom == len(u.table)
+                   and list(u.table) == sorted(set(u.table)) for u in subs)
+        keys = [(u.dom, u.table) for u in subs]
+        assert len(set(keys)) == len(keys) == 2 ** n
+        assert keys == sorted(keys)

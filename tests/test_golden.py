@@ -21,10 +21,15 @@ COMMANDS = {
                                        "--system", "surj-inj", "--max-size", "2"],
     "finset-check-allegory-iso-all": ["check-allegory", "--category", "finset",
                                       "--system", "iso-all", "--max-size", "2"],
+    "finset-check-allegory-iso-all-simEbullet": ["check-allegory", "--category", "finset",
+                                                 "--system", "iso-all", "--relation",
+                                                 "simEbullet", "--max-size", "2"],
     "finset-ebullet-iso-all": ["ebullet", "--category", "finset", "--system", "iso-all",
                                "--max-size", "2"],
     "finset-map-counit": ["map-counit", "--category", "finset", "--max-size", "1"],
     "thin-check-allegory": ["check-allegory", "--category", "thin", "--max-size", "4"],
+    "thin-check-allegory-simEo": ["check-allegory", "--category", "thin", "--relation",
+                                  "simEo", "--max-size", "3"],
     "thin-tabulate": ["tabulate", "--category", "thin", "--max-size", "3"],
     "thin-map-counit": ["map-counit", "--category", "thin", "--max-size", "3"],
     "thin-ebullet": ["ebullet", "--category", "thin", "--max-size", "3"],

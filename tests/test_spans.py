@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from spanalg import (NotParallel, Span, fin, functor_round_trip, functoriality_of_R,
-                     graph, identity_span, involution, make_equivalence, rel_compose,
-                     relation_span, span_compose, span_meet, span_pairs,
-                     vertically_isomorphic)
+from spanalg import (NotParallel, Span, ThinCategory, builtin_class, fin,
+                     functor_round_trip, functoriality_of_R, graph, identity_span,
+                     involution, make_equivalence, rel_compose, relation_span,
+                     span_compose, span_meet, span_pairs, vertically_isomorphic)
 from spanalg.spans import FactorizationEquivalence, StableClassEquivalence
+from spanalg.systems import thin_system
 
 import oracles
 
@@ -60,16 +61,21 @@ def test_factorization_equivalence_quotients_row_duplication(C, surj_inj, iso_al
 
 
 def test_stable_class_equivalence_agrees_with_factorization(C, surj_inj):
-    from spanalg import builtin_class
-    eq_fast = FactorizationEquivalence(C, surj_inj)
-    eq_slow = StableClassEquivalence(C, builtin_class(C, "surjective"))
-    spans = all_spans(C, 2, 2, range(3))
-    rng = random.Random(3)
-    for _ in range(150):
-        s1, s2 = rng.choice(spans), rng.choice(spans)
-        vf, vs = eq_fast.equal(s1, s2), eq_slow.equal(s1, s2)
-        assert not vs.unknown
-        assert vf.holds == vs.holds, (s1, s2)
+    # FinSet searches its subsets; the thin chain has no subobjects
+    # override, so the default search over every map into Q runs there
+    chain = ThinCategory.chain(4)
+    cases = [(C, surj_inj, "surjective", (2, 2), range(3)),
+             (chain, thin_system(chain, "iso-all"), "isos", (3, 3), range(4))]
+    for cat, system, e_name, (a, b), apexes in cases:
+        eq_fast = FactorizationEquivalence(cat, system)
+        eq_slow = StableClassEquivalence(cat, builtin_class(cat, e_name))
+        spans = all_spans(cat, a, b, apexes)
+        rng = random.Random(3)
+        for _ in range(150):
+            s1, s2 = rng.choice(spans), rng.choice(spans)
+            vf, vs = eq_fast.equal(s1, s2), eq_slow.equal(s1, s2)
+            assert not vs.unknown
+            assert vf.holds == vs.holds, (s1, s2)
 
 
 def test_ebullet_equivalence_collapses_parallel_spans(C, ebullet_class):
