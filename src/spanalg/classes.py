@@ -226,7 +226,16 @@ def e_circ(cat, e_class, carrier):
 def conjugates(cat, m_class, carrier):
     """All conjugates m* arising from commutative cubes over the carrier,
     plus every section whose retraction lies in M (the shortcut that makes
-    the key memberships visible at small bounds)."""
+    the key memberships visible at small bounds).
+
+    A cube runs for one member of M per kernel pair only. The front face
+    pullback(m.f, m.s) is the pullback of (f, s) along m's kernel pair, so
+    members of M at B with equal kernel-pair legs give the same conjugate
+    up to the canonical iso of the front apex, which `m_star` absorbs. The
+    shipped instances choose that front face from the kernel pair alone
+    (FinSet lists the equalised pairs, thin has one arrow per hom, FinCat
+    takes the sub-product of matching pairs), so there the set itself is
+    the same as with one cube per member."""
     out = set()
     mors = carrier.morphisms()
     m_members = [m for m in mors if m_class.membership(m).holds]
@@ -238,8 +247,12 @@ def conjugates(cat, m_class, carrier):
                 out.add(s)
     # raw cube enumeration: m: B -> Z in M, f: A -> B, s: T -> B; the back
     # face pullback(f, s) does not depend on m, so it is built once per (f, s)
-    by_dom = {}
+    by_kernel = {}
     for m in m_members:
+        kp = cat.kernel_pair(m)
+        by_kernel.setdefault((kp.p1, kp.p2), m)
+    by_dom = {}
+    for m in by_kernel.values():
         by_dom.setdefault(m.dom, []).append(m)
     for b, ms_at_b in by_dom.items():
         into_b = [f for f in mors if f.cod == b]

@@ -150,16 +150,23 @@ def validate_system(system, carrier):
 
 def _check_uniqueness(system, carrier):
     """Any two (E,M)-factorizations of the same morphism are linked by an
-    iso; checked against alternative factorizations found by hom search."""
+    iso; checked against alternative factorizations found by hom search.
+    The E-members out of each domain and the M-members into each codomain
+    are listed once per pair of objects, in hom order."""
     cat = system.category
+    e_homs, m_homs = {}, {}
+
+    def members(cache, cls, a, b):
+        if (a, b) not in cache:
+            cache[a, b] = [g for g in cat.hom(a, b) if cls.membership(g).holds]
+        return cache[a, b]
+
     for f in carrier.morphisms():
         e, m = system.factor(f)
         for mid in carrier.objects:
-            for e2 in cat.hom(f.dom, mid):
-                if not system.E.membership(e2).holds:
-                    continue
-                for m2 in cat.hom(mid, f.cod):
-                    if cat.compose(m2, e2) != f or not system.M.membership(m2).holds:
+            for e2 in members(e_homs, system.E, f.dom, mid):
+                for m2 in members(m_homs, system.M, mid, f.cod):
+                    if cat.compose(m2, e2) != f:
                         continue
                     if not _linked_by_iso(cat, e, m, e2, m2):
                         return Verdict.no({"f": f, "alt": (e2, m2)},

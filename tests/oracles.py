@@ -2,7 +2,10 @@
 
 A relation a -> b is a frozenset of (x, y) pairs. These are the reference
 implementations the span machinery is compared against; they never touch
-the package code under test.
+the package code under test. `conjugates` is the one exception to the
+relational form: it takes a category's chosen limits as given and runs one
+commutative cube per member of M, the reference for the cube search of
+`spanalg.classes.conjugates`.
 """
 
 import itertools
@@ -45,3 +48,29 @@ def modular_law_holds(r, s, t):
 
 def is_function(r, a, b):
     return all(len([y for (x2, y) in r if x2 == x]) == 1 for x in range(a))
+
+
+def conjugates(cat, m_class, carrier):
+    """Every section of an M-retraction, then for each m: B -> Z in M and
+    each f, s into B the mediator from pullback(f, s) into
+    pullback(m.f, m.s): one front face per (f, s, m)."""
+    out = set()
+    mors = carrier.morphisms()
+    m_members = [m for m in mors if m_class.membership(m).holds]
+    for r in m_members:
+        ident = cat.identity(r.cod)
+        out.update(s for s in cat.hom(r.cod, r.dom) if cat.compose(r, s) == ident)
+    by_dom = {}
+    for m in m_members:
+        by_dom.setdefault(m.dom, []).append(m)
+    for b, ms_at_b in by_dom.items():
+        into_b = [f for f in mors if f.cod == b]
+        after = [[cat.compose(m, f) for m in ms_at_b] for f in into_b]
+        for f, mfs in zip(into_b, after):
+            for s, mss in zip(into_b, after):
+                back = cat.pullback(f, s)
+                for mf, ms in zip(mfs, mss):
+                    conj = cat.pullback(mf, ms).mediate(back.p1, back.p2)
+                    if conj is not None and carrier.contains_endpoints(conj):
+                        out.add(conj)
+    return out
