@@ -22,6 +22,10 @@ from .verdict import Verdict, combine
 
 # -- the quotient view ---------------------------------------------------------
 
+# frozen, so every call on two spans of one class can return this one object
+_SAME_REPRESENTATIVE = Verdict.yes(reason="same representative")
+
+
 class AllegoryView:
     """Induced operations on span classes, with interned representatives.
 
@@ -35,6 +39,14 @@ class AllegoryView:
     checks over the same classes do not re-decide it. The identity class
     of each object is cached too, so `identity(a)` builds and interns its
     span only once.
+
+    `compose`, `meet`, `inv` and `equal` share one op table, keyed on flat
+    tuples of a tag and the ids of interned representatives, such as
+    `("m", id(a), id(b))`. The view keeps every interned representative
+    alive in `_interned`, so no id in a key can be reused by another
+    object. Each op tests `id(x) in self._interned` inline and calls `rep`
+    only on a span that is not interned, so a hit builds no span and
+    makes no call beyond the table lookup.
     """
 
     def __init__(self, cat, equiv, objects=None):
@@ -46,7 +58,7 @@ class AllegoryView:
         self._interned = {}    # id -> every interned rep, kept alive so ids stay stable
         self._homs = {}        # (dom, cod) -> (reps, complete)
         self._identities = {}  # object -> its identity class
-        self._ops = {}
+        self._ops = {}         # (tag, id, ...) -> interned result or equal Verdict
 
     # representative interning
 
@@ -69,16 +81,6 @@ class AllegoryView:
         self._interned[id(s)] = s
         return s
 
-    def _cached(self, tag, args, build):
-        # args must already be interned representatives: interned spans are
-        # kept alive by the view, so their ids are stable cache keys
-        key = (tag,) + tuple(id(a) for a in args)
-        hit = self._ops.get(key)
-        if hit is None:
-            hit = build(*args)
-            self._ops[key] = hit
-        return hit
-
     # induced operations
 
     def identity(self, a):
@@ -93,24 +95,46 @@ class AllegoryView:
 
     def compose(self, r, s):
         """Diagrammatic: r first, then s."""
-        return self._cached("c", (self.rep(r), self.rep(s)),
-                            lambda a, b: self.rep(span_compose(self.cat, a, b)))
+        interned = self._interned
+        a = r if id(r) in interned else self.rep(r)
+        b = s if id(s) in interned else self.rep(s)
+        key = ("c", id(a), id(b))
+        hit = self._ops.get(key)
+        if hit is None:
+            hit = self._ops[key] = self.rep(span_compose(self.cat, a, b))
+        return hit
 
     def meet(self, r, s):
-        return self._cached("m", (self.rep(r), self.rep(s)),
-                            lambda a, b: self.rep(span_meet(self.cat, a, b)))
+        interned = self._interned
+        a = r if id(r) in interned else self.rep(r)
+        b = s if id(s) in interned else self.rep(s)
+        key = ("m", id(a), id(b))
+        hit = self._ops.get(key)
+        if hit is None:
+            hit = self._ops[key] = self.rep(span_meet(self.cat, a, b))
+        return hit
 
     def inv(self, r):
-        return self._cached("i", (self.rep(r),),
-                            lambda a: self.rep(involution(a)))
+        a = r if id(r) in self._interned else self.rep(r)
+        key = ("i", id(a))
+        hit = self._ops.get(key)
+        if hit is None:
+            hit = self._ops[key] = self.rep(involution(a))
+        return hit
 
     def equal(self, r, s):
-        a, b = self.rep(r), self.rep(s)
+        interned = self._interned
+        a = r if id(r) in interned else self.rep(r)
+        b = s if id(s) in interned else self.rep(s)
         if a is b:
-            return Verdict.yes(reason="same representative")
-        if a is r and b is s:
-            return self._cached("e", (a, b), self.equiv.equal)
-        return self.equiv.equal(r, s)
+            return _SAME_REPRESENTATIVE
+        if a is not r or b is not s:
+            return self.equiv.equal(r, s)
+        key = ("e", id(a), id(b))
+        hit = self._ops.get(key)
+        if hit is None:
+            hit = self._ops[key] = self.equiv.equal(a, b)
+        return hit
 
     def leq(self, r, s):
         """r <= s iff r meet s ~ r."""
@@ -621,9 +645,12 @@ def enumerate_map_relations(mapcat, a, b, apexes=None):
 
 
 def _map_span_isomorphic(mapcat, s1, s2):
+    """Some iso i of the map category between the apexes has i then h2 ~ h1
+    and i then k2 ~ k1. The apexes may differ: distinct objects can be
+    isomorphic in the map category."""
     h1, k1 = s1
     h2, k2 = s2
-    if h1.dom != h2.dom or k1.cod != k2.cod:
+    if h1.cod != h2.cod or k1.cod != k2.cod:
         return False
     view = mapcat.view
     for i in mapcat.hom(h1.dom, h2.dom):

@@ -202,10 +202,11 @@ class Reporter:
             times = dict(self.timings)
             for l in self.lines:
                 mark = {HOLDS: "ok", FAILS: "FAIL", UNKNOWN: "?"}[l["verdict"]]
-                extra = f"  witness={l['witness']}" if "witness" in l else ""
                 t = times.get(l["check"])
                 stamp = f"  [{t:.2f}s]" if t is not None else ""
-                print(f"{mark:>4}  {l['check']}{stamp}{extra}")
+                reason = f"  {l['reason']}" if "reason" in l else ""
+                extra = f"  witness={l['witness']}" if "witness" in l else ""
+                print(f"{mark:>4}  {l['check']}{stamp}{reason}{extra}")
         return self.exit_code()
 
 

@@ -289,6 +289,72 @@ def test_identity_is_cached(make_view):
     assert calls == {"key": 0, "equal": 0}
 
 
+def _count_rep_calls(view):
+    calls = [0]
+    rep = view.rep
+
+    def counted(s):
+        calls[0] += 1
+        return rep(s)
+
+    view.rep = counted
+    return calls
+
+
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_op_keys_name_only_interned_representatives(make_view):
+    view = make_view()
+    assert allegory_suite(view).holds
+    assert view._ops
+    for tag, *ids in view._ops:
+        assert tag in "cmie" and ids
+        assert all(i in view._interned for i in ids), tag
+
+
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_ops_on_representatives_call_rep_only_on_a_miss(make_view):
+    view = make_view()
+    homs = {(a, b): view.hom(a, b)[0] for a, b in itertools.product(view.objects, repeat=2)}
+
+    def every_op():
+        for (a, b), ab in homs.items():
+            for r in ab:
+                view.inv(r)
+                for s in ab:
+                    view.meet(r, s)
+                    view.equal(r, s)
+                for c in view.objects:
+                    for s in homs[(b, c)]:
+                        view.compose(r, s)
+
+    def builds():
+        return sum(tag != "e" for tag, *_ in view._ops)
+
+    calls = _count_rep_calls(view)
+    every_op()
+    # one rep call per span built on a miss, none for the arguments
+    assert calls[0] == builds() > 0
+    calls[0] = 0
+    every_op()
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_ops_on_a_fresh_span_use_its_representative(make_view):
+    view = make_view()
+    for reps in _all_homs(view):
+        for r in reps:
+            s = Span(r.apex, r.left, r.right)
+            assert id(s) not in view._interned
+            assert view.rep(s) is r
+            assert view.equal(s, r) is view.equal(r, r)
+            assert view.equal(s, r).holds
+            assert view.inv(s) is view.inv(r)
+            assert view.meet(s, s) is view.meet(r, r)
+            one = view.identity(r.dom)
+            assert view.compose(one, s) is view.compose(one, r) is r
+
+
 # -- the view against the relational oracle ----------------------------------------
 
 def _relations(a, b):

@@ -76,6 +76,25 @@ def test_map_counit_finset(capsys):
     assert "1 maps" in maps11["reason"]
 
 
+def test_text_format_prints_each_reason(capsys):
+    assert run(["map-counit", "--max-size", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "bijection on 2 classes" in out
+    assert "1 maps: ['iso']" in out
+
+
+def test_map_counit_repaired_iso_all_is_bijective(capsys):
+    # every map of this quotient is an iso, so spans of maps over distinct
+    # apexes can be isomorphic; the counit must see them as one relation
+    code = run(["map-counit", "--category", "finset", "--system", "iso-all",
+                "--relation", "simEbullet", "--max-size", "2", "--format", "json"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    counits = {l["check"]: l for l in lines if l["check"].startswith("counit-")}
+    assert sorted(counits) == [f"counit-{a}-{b}" for a in range(3) for b in range(3)]
+    assert all(l["verdict"] == "Holds" for l in counits.values()), counits
+    assert code == 0
+
+
 def test_table_validation(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({
