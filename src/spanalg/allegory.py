@@ -57,6 +57,7 @@ class AllegoryView:
         self._reps = {}        # (dom, cod) -> list of interned reps
         self._interned = {}    # id -> every interned rep, kept alive so ids stay stable
         self._homs = {}        # (dom, cod) -> (reps, complete)
+        self._undecided = set()  # (dom, cod) where rep met an Unknown comparison
         self._identities = {}  # object -> its identity class
         self._ops = {}         # (tag, id, ...) -> interned result or equal Verdict
 
@@ -75,8 +76,11 @@ class AllegoryView:
             return hit
         bucket = self._reps.setdefault((s.dom, s.cod), [])
         for r in bucket:
-            if self.equiv.equal(s, r).holds:
+            v = self.equiv.equal(s, r)
+            if v.holds:
                 return r
+            if v.unknown:
+                self._undecided.add((s.dom, s.cod))
         bucket.append(s)
         self._interned[id(s)] = s
         return s
@@ -141,11 +145,13 @@ class AllegoryView:
         return self.equal(self.meet(r, s), r)
 
     def hom(self, a, b):
+        """The classes a -> b in the order of their first candidate, and
+        whether no class was missed nor comparison Unknown at (a, b)."""
         got = self._homs.get((a, b))
         if got is None:
-            raw, complete = enumerate_hom_classes(self.cat, self.equiv, a, b)
-            got = ([self.rep(s) for s in raw], complete)
-            self._homs[(a, b)] = got
+            candidates, complete = enumerate_hom_classes(self.cat, self.equiv, a, b)
+            reps = list({id(r): r for r in map(self.rep, candidates)}.values())
+            got = self._homs[(a, b)] = (reps, complete and (a, b) not in self._undecided)
         return got
 
 
@@ -608,8 +614,7 @@ def check_m_self_tabulation(view, m_sample):
         composite = view.equal(target, view.compose(view.inv(gm), gm))
         if composite.fails:
             return Verdict.no(m, "[m,m] not recovered from its diagonal pair")
-        kp = view.compose(gm, view.inv(gm))
-        monic = view.equal(kp, view.identity(m.dom))
+        monic = jointly_monic(view, gm, gm)
         if monic.fails:
             return Verdict.no(m, "diagonal pair on m not jointly monic")
         verdicts.append(combine([composite, monic]))
@@ -626,13 +631,12 @@ def jointly_monic(view, h, k):
     return view.equal(view.meet(kp_h, kp_k), view.identity(h.dom))
 
 
-def enumerate_map_relations(mapcat, a, b, apexes=None):
-    """Jointly monic spans of maps a <- R -> b, up to span isomorphism
-    inside the map category."""
+def enumerate_map_relations(mapcat, a, b):
+    """Jointly monic spans of maps a <- R -> b with apexes among the
+    objects of the map category, up to span isomorphism inside it."""
     view = mapcat.view
-    objs = list(mapcat.objects()) if apexes is None else list(apexes)
     found = []
-    for w in objs:
+    for w in mapcat.objects():
         for h in mapcat.hom(w, a):
             for k in mapcat.hom(w, b):
                 if not jointly_monic(view, h, k).holds:
@@ -680,7 +684,7 @@ def counit_check(view, system, a, b, apexes=None):
     identities on the sampled maps and classes. Unknown, not Holds or
     Fails on bijectivity, when a hom it listed was incomplete."""
     mc = map_category(view, system, apexes)
-    rels = enumerate_map_relations(mc, a, b, apexes)
+    rels = enumerate_map_relations(mc, a, b)
     images = [counit(view, h, k) for h, k in rels]
     for i, j in itertools.combinations(range(len(images)), 2):
         if view.equal(images[i], images[j]).holds:

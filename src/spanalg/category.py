@@ -39,6 +39,10 @@ class Category:
 
     name = "abstract"
 
+    # whether objects() lists every object of the category, not only a
+    # bounded stream of them; a class-level fact of the instance
+    objects_complete = False
+
     # -- enumeration ---------------------------------------------------
 
     def objects(self):

@@ -34,6 +34,12 @@ class Carrier:
     def contains_endpoints(self, f):
         return f.dom in self._obj_set and f.cod in self._obj_set
 
+    def holds_every_object(self):
+        """The carrier holds every object of the category, so a class
+        built on it decides membership everywhere."""
+        return self.category.objects_complete \
+            and self._obj_set.issuperset(self.category.objects())
+
 
 @dataclass
 class MorClass:
@@ -178,7 +184,16 @@ def composition_closure(cat, x_class, carrier, include_isos=True):
                     if gf not in members:
                         members.add(gf)
                         changed = True
-    return MorClass(f"({x_class.name})^c", members=frozenset(members), carrier=carrier)
+    return closure_class(cat, f"({x_class.name})^c", members, carrier)
+
+
+def closure_class(cat, name, members, carrier):
+    """The class of the given carrier members. A failed middle-span search
+    is conclusive when the carrier holds every object, so membership is
+    decided everywhere, and every member is monic."""
+    complete = carrier.holds_every_object() and all(cat.is_mono(f).holds for f in members)
+    return MorClass(name, members=frozenset(members), carrier=carrier,
+                    subset_search_complete=complete)
 
 
 def _iso_rule(cat):
@@ -297,7 +312,7 @@ def m_star(cat, m_class, carrier):
                     if ih not in members:
                         members.add(ih)
                         changed = True
-    return MorClass(f"({m_class.name})*", members=frozenset(members), carrier=carrier)
+    return closure_class(cat, f"({m_class.name})*", members, carrier)
 
 
 def e_bullet(cat, system, carrier, mstar):
@@ -312,8 +327,17 @@ def e_bullet(cat, system, carrier, mstar):
     extra_rules, monic = cat.e_bullet_facts(system, out.members)
     out.rules = (_iso_rule(cat), _member_rule(system.E),
                  _section_of_m_rule(cat, system.M)) + extra_rules
-    out.monic_complete = out.subset_search_complete = monic
+    out.monic_complete = monic
+    out.subset_search_complete = out.subset_search_complete or monic
     return out
+
+
+def first_outside(cls, test, morphisms):
+    """The first of the morphisms in the class that `test` refutes, or None."""
+    for f in morphisms:
+        if cls.membership(f).holds and test(f).fails:
+            return f
+    return None
 
 
 def check_splitepi_mono_agreement(cat, system, carrier):
@@ -323,16 +347,8 @@ def check_splitepi_mono_agreement(cat, system, carrier):
     the witnesses when they disagree.
     """
     mors = carrier.morphisms()
-    split_side = None  # a split epi outside E, if any
-    for f in mors:
-        if cat.is_split_epi(f).holds and system.E.membership(f).fails:
-            split_side = f
-            break
-    mono_side = None  # a non-mono in M, if any
-    for f in mors:
-        if system.M.membership(f).holds and cat.is_mono(f).fails:
-            mono_side = f
-            break
+    split_side = first_outside(builtin_class(cat, "splitEpis"), system.E.membership, mors)
+    mono_side = first_outside(system.M, cat.is_mono, mors)
     lhs, rhs = split_side is None, mono_side is None
     detail = {"splitepi_in_E": lhs, "M_in_mono": rhs,
               "splitepi_witness": split_side, "mono_witness": mono_side}

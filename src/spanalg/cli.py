@@ -20,11 +20,11 @@ from .allegory import (AllegoryView, allegory_suite, check_allegorical_criterion
                        check_allegorical_relation, check_modular_law, counit_check,
                        effective_retraction_sample, find_unit, map_category,
                        tabulate)
-from .classes import check_splitepi_mono_agreement, e_bullet, e_circ, m_star
+from .classes import check_splitepi_mono_agreement, e_bullet, e_circ, first_outside, m_star
 from .errors import ConfigError, ParseError, SpanalgError, TabulationFailed
 from .fincat import FinCatCategory
 from .finset import FinSetCategory
-from .spans import Span, make_equivalence
+from .spans import make_equivalence, relation_spans, stream_spans
 from .systems import default_carrier, named_system, validate_system
 from .tablecat import load_table_json
 from .thin import ThinCategory
@@ -300,16 +300,14 @@ def cmd_ebullet(ctx, rep):
     eqB = make_equivalence(ctx.cat, "simEbullet", e_class=ctx.mor_class("ebullet"))
 
     def inclusion():
-        objs = [o for o in ctx.objects()]
+        objs = ctx.objects()
         hom_cache = {}
         checked = 0
         for _ in range(200):
             a, b = ctx.rng.choice(objs), ctx.rng.choice(objs)
             spans = hom_cache.get((a, b))
             if spans is None:
-                spans = [Span(w, lf, rg) for w in objs
-                         for lf in ctx.cat.hom(w, a) for rg in ctx.cat.hom(w, b)]
-                hom_cache[(a, b)] = spans
+                spans = hom_cache[(a, b)] = stream_spans(ctx.cat, a, b)
             if not spans:
                 continue
             s1, s2 = ctx.rng.choice(spans), ctx.rng.choice(spans)
@@ -356,13 +354,13 @@ def cmd_map_counit(ctx, rep):
         rep.record(f"maps-{a}-{b}",
                    Verdict.yes(reason=f"{len(maps)} maps: {tags}"),
                    {"dom": repr(a), "cod": repr(b)})
-    if ctx.args.category == "finset":
-        for a, b in itertools.product(objs, repeat=2):
-            apexes = range(max(a * b, max(objs)) + 1)
-            rep.run(f"counit-{a}-{b}",
-                    lambda a=a, b=b, ap=apexes: counit_check(view, ctx.system,
-                                                             a, b, apexes=ap),
-                    spec)
+    for a, b in itertools.product(objs, repeat=2):
+        # the carrier objects, then the apexes of relations a -> b beyond them
+        apexes = list(dict.fromkeys(objs + [s.apex for s in relation_spans(ctx.cat, a, b)]))
+        rep.run(f"counit-{a}-{b}",
+                lambda a=a, b=b, ap=apexes: counit_check(view, ctx.system,
+                                                         a, b, apexes=ap),
+                spec)
 
 
 def _fincat_probe(ctx, rep):
@@ -371,20 +369,15 @@ def _fincat_probe(ctx, rep):
     asserted, only the observed verdicts."""
     mors = ctx.carrier.morphisms()
 
-    def e_sub_epi():
-        for f in mors:
-            if ctx.system.E.membership(f).holds and ctx.cat.is_epi(f).fails:
-                return Verdict.no(f, "in E but not epi")
+    def within(cls, test, reason):
+        f = first_outside(cls, test, mors)
+        if f is not None:
+            return Verdict.no(f, reason)
         return Verdict.yes(reason=f"{len(mors)} morphisms swept")
 
-    def m_sub_mono():
-        for f in mors:
-            if ctx.system.M.membership(f).holds and ctx.cat.is_mono(f).fails:
-                return Verdict.no(f, "in M but not mono")
-        return Verdict.yes(reason=f"{len(mors)} morphisms swept")
-
-    rep.run("probe-E-in-epi", e_sub_epi)
-    rep.run("probe-M-in-mono", m_sub_mono)
+    system, cat = ctx.system, ctx.cat
+    rep.run("probe-E-in-epi", lambda: within(system.E, cat.is_epi, "in E but not epi"))
+    rep.run("probe-M-in-mono", lambda: within(system.M, cat.is_mono, "in M but not mono"))
 
 
 def read_report(path):

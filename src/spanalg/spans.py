@@ -15,7 +15,9 @@ quotient relations implemented here:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .classes import Carrier, first_outside
 from .errors import NotParallel
 from .verdict import Verdict
 
@@ -118,6 +120,8 @@ class SpanEquivalence:
     canonical key per class."""
 
     tag = "abstract"
+    # every class a -> b holds one of relation_spans(cat, a, b)
+    classes_are_relations = False
 
     def __init__(self, cat):
         self.cat = cat
@@ -158,6 +162,12 @@ class FactorizationEquivalence(SpanEquivalence):
     def __init__(self, cat, system):
         super().__init__(cat)
         self.system = system
+
+    @cached_property
+    def classes_are_relations(self):
+        """M lies within the monos on the object stream (Span_E = Rel_M)."""
+        mors = Carrier(self.cat, self.cat.objects()).morphisms()
+        return first_outside(self.system.M, self.cat.is_mono, mors) is None
 
     def m_part(self, s):
         pr, p = pairing(self.cat, s)
@@ -255,36 +265,26 @@ def make_equivalence(cat, relation_tag, system=None, e_class=None):
 
 # -- quotient hom enumeration --------------------------------------------------
 
-def enumerate_hom_classes(cat, equiv, a, b):
-    """Representatives of the hom-classes a -> b.
+def stream_spans(cat, a, b):
+    """Every span a <- w -> b with its apex w in the object stream."""
+    return [Span(w, lf, rg) for w in cat.objects()
+            for lf in cat.hom(w, a) for rg in cat.hom(w, b)]
 
-    Under surj-inj, whose M is the injections, this is exact: a class is
-    its M-part, one per subobject of a x b. Otherwise representatives are
-    collected from spans with apexes in the object stream (bounded) and
-    grouped by the decider, flagged possibly-incomplete via the second
-    return value.
-    """
-    if isinstance(equiv, FactorizationEquivalence) and equiv.system.name == "surj-inj":
-        pr = cat.product(a, b)
-        return [Span(u.dom, cat.compose(pr.pi1, u), cat.compose(pr.pi2, u))
-                for u in cat.subobjects(pr.apex)], True
-    reps = []
-    complete = True
-    for w in cat.objects():
-        for lf in cat.hom(w, a):
-            for rg in cat.hom(w, b):
-                s = Span(w, lf, rg)
-                matched = False
-                for r in reps:
-                    v = equiv.equal(s, r)
-                    if v.holds:
-                        matched = True
-                        break
-                    if v.unknown:
-                        complete = False
-                if not matched:
-                    reps.append(s)
-    return reps, complete
+
+def relation_spans(cat, a, b):
+    """The span (pi1 u, pi2 u) of each subobject u of a x b: when M lies
+    within the monos, one in every class a -> b (Span_E(C) = Rel_M(C))."""
+    pr = cat.product(a, b)
+    return [Span(u.dom, cat.compose(pr.pi1, u), cat.compose(pr.pi2, u))
+            for u in cat.subobjects(pr.apex)]
+
+
+def enumerate_hom_classes(cat, equiv, a, b):
+    """Candidate spans a -> b for the caller to group into classes, and
+    whether they reach every class. Spans over the object stream are taken
+    to, though they miss a class whose spans all have larger apexes."""
+    spans = relation_spans if equiv.classes_are_relations else stream_spans
+    return spans(cat, a, b), True
 
 
 def relation_span(cat, a, b, pairs):

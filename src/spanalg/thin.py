@@ -28,6 +28,7 @@ class ThinCategory(Category):
     """
 
     name = "thin"
+    objects_complete = True  # the poset is finite and objects() lists it
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)

@@ -2,10 +2,12 @@
 
 A relation a -> b is a frozenset of (x, y) pairs. These are the reference
 implementations the span machinery is compared against; they never touch
-the package code under test. `conjugates` is the one exception to the
-relational form: it takes a category's chosen limits as given and runs one
-commutative cube per member of M, the reference for the cube search of
-`spanalg.classes.conjugates`.
+the package code under test. `conjugates` and `group_by_equal` are the
+exceptions to the relational form. `conjugates` takes a category's chosen
+limits as given and runs one commutative cube per member of M, the
+reference for the cube search of `spanalg.classes.conjugates`.
+`group_by_equal` groups spans with pairwise calls to an equivalence's
+`equal`, the reference for the class listing of `AllegoryView.hom`.
 """
 
 import itertools
@@ -46,6 +48,12 @@ def modular_law_holds(r, s, t):
     return leq(lhs, rhs)
 
 
+def image(left_table, right_table):
+    """The relation a span of functions stands for: the image of its
+    pairing in a x b."""
+    return frozenset(zip(left_table, right_table))
+
+
 def is_function(r, a, b):
     return all(len([y for (x2, y) in r if x2 == x]) == 1 for x in range(a))
 
@@ -74,3 +82,22 @@ def conjugates(cat, m_class, carrier):
                     if conj is not None and carrier.contains_endpoints(conj):
                         out.add(conj)
     return out
+
+
+def group_by_equal(equiv, spans):
+    """Representatives of the classes among the spans, in first-seen order:
+    each span joins the first earlier representative `equiv.equal` relates
+    it to, else it becomes one. The list is incomplete when a comparison
+    was Unknown."""
+    reps = []
+    complete = True
+    for s in spans:
+        for r in reps:
+            v = equiv.equal(s, r)
+            if v.holds:
+                break
+            if v.unknown:
+                complete = False
+        else:
+            reps.append(s)
+    return reps, complete

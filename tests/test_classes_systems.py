@@ -3,8 +3,8 @@ import pytest
 import oracles
 from spanalg import (Carrier, FinCatCategory, FinSetCategory, builtin_class,
                      check_splitepi_mono_agreement, composition_closure, conjugates,
-                     default_carrier, explicit_class, fin, union_class,
-                     validate_stable_system)
+                     default_carrier, e_bullet, e_circ, explicit_class, fin, m_star,
+                     union_class, validate_stable_system)
 from spanalg.systems import FactSystem, finset_system, thin_system, validate_system
 from spanalg.thin import ThinCategory
 
@@ -171,6 +171,25 @@ def test_subset_search_completeness_is_set_where_classes_are_built(C):
     fc = FinCatCategory(max_objects=1, max_morphisms=1)
     for name in ("bijObj", "surjObj", "ff", "ffInjObj"):
         assert not builtin_class(fc, name).subset_search_complete
+
+
+def test_closure_classes_are_conclusive_on_a_whole_chain():
+    # a chain lists every object and all its arrows are monic
+    t = ThinCategory.chain(3)
+    carrier = default_carrier(t)
+    system = thin_system(t, "iso-all")
+    mstar = m_star(t, system.M, carrier)
+    for cls in (mstar, e_circ(t, system.E, carrier), e_bullet(t, system, carrier, mstar)):
+        assert cls.subset_search_complete, cls.name
+    # a carrier short of an object decides nothing beyond it
+    short = Carrier(t, (0, 1))
+    assert not e_circ(t, system.E, short).subset_search_complete
+
+
+def test_closure_classes_over_a_bounded_stream_stay_inconclusive(C, carrier, surj_inj):
+    # FinSet's stream stops at max_size, so only e_bullet_facts can decide
+    assert not e_circ(C, surj_inj.E, carrier).subset_search_complete
+    assert not m_star(C, surj_inj.M, carrier).subset_search_complete
 
 
 def test_union_class(C, carrier):

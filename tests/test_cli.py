@@ -58,6 +58,30 @@ def test_ebullet_dump(capsys):
     assert any(n.startswith("class-") for n in names)
 
 
+@pytest.mark.parametrize("relation, size", [("simEo", 3), ("simEo", 4), ("simEbullet", 3)])
+def test_thin_closure_relations_are_conclusive(capsys, relation, size):
+    # the chain lists every object, so a failed middle-span search is a Fails
+    code = run(["check-allegory", "--category", "thin", "--relation", relation,
+                "--max-size", str(size), "--format", "json"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [(l["check"], l["verdict"]) for l in lines] == [
+        (check, "Holds") for check in ("allegory-suite", "seeded-modular-triples",
+                                       "allegorical-relation", "retraction-criterion",
+                                       "unit")]
+    assert code == 0
+
+
+def test_map_counit_checks_the_thin_counit(capsys):
+    assert run(["map-counit", "--category", "thin", "--max-size", "4",
+                "--format", "json"]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    counits = {l["check"]: l for l in lines if l["check"].startswith("counit-")}
+    assert len(counits) == 16
+    # a class 3 -> 2 of the 4-chain is fixed by its apex, one of 0, 1, 2
+    assert counits["counit-3-2"]["reason"] == "bijection on 3 classes"
+    assert all(l["verdict"] == "Holds" for l in counits.values())
+
+
 def test_ebullet_surj_inj_stays_put(capsys):
     # repairing a mono-M system changes nothing; the inclusion check holds
     assert run(["ebullet", "--system", "surj-inj", "--max-size", "2"]) == 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spanalg import (NotParallel, Span, ThinCategory, builtin_class, fin,
+from spanalg import (FinSetCategory, NotParallel, Span, ThinCategory, builtin_class, fin,
                      functor_round_trip, functoriality_of_R, graph, identity_span,
                      involution, make_equivalence, rel_compose, relation_span,
                      span_compose, span_meet, span_pairs, vertically_isomorphic)
@@ -129,3 +129,17 @@ def test_make_equivalence_dispatch(C, surj_inj, ebullet_class):
     assert isinstance(eq, StableClassEquivalence)
     with pytest.raises(ValueError):
         make_equivalence(C, "simEo")
+
+
+def test_approx_holds_exactly_on_equal_images():
+    """Two-cells both ways exist exactly when the two spans have the same
+    image in dom x cod: every FinSet span with apex <= 2, over a, b <= 2."""
+    cat = FinSetCategory(2)
+    eq = make_equivalence(cat, "approx")
+    for a, b in itertools.product(range(3), repeat=2):
+        spans = all_spans(cat, a, b, range(3))
+        for s1, s2 in itertools.product(spans, repeat=2):
+            v = eq.equal(s1, s2)
+            same = oracles.image(s1.left.table, s1.right.table) \
+                == oracles.image(s2.left.table, s2.right.table)
+            assert v.holds == same and v.fails != same, (s1, s2)
