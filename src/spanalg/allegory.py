@@ -37,8 +37,9 @@ class AllegoryView:
     calling the equivalence. `equal` on two distinct interned
     representatives is decided once and then cached, so repeated law
     checks over the same classes do not re-decide it. The identity class
-    of each object is cached too, so `identity(a)` builds and interns its
-    span only once.
+    of each object and the graph class of each morphism are cached too, so
+    `identity(a)` and `of_morphism(f)` build and intern their span only
+    once.
 
     `compose`, `meet`, `inv` and `equal` share one op table, keyed on flat
     tuples of a tag and the ids of interned representatives, such as
@@ -59,6 +60,7 @@ class AllegoryView:
         self._homs = {}        # (dom, cod) -> (reps, complete)
         self._undecided = set()  # (dom, cod) where rep met an Unknown comparison
         self._identities = {}  # object -> its identity class
+        self._graphs = {}      # morphism -> its graph class
         self._ops = {}         # (tag, id, ...) -> interned result or equal Verdict
 
     # representative interning
@@ -95,7 +97,10 @@ class AllegoryView:
 
     def of_morphism(self, f):
         """The graph class [1, f]."""
-        return self.rep(graph(self.cat, f))
+        got = self._graphs.get(f)
+        if got is None:
+            got = self._graphs[f] = self.rep(graph(self.cat, f))
+        return got
 
     def compose(self, r, s):
         """Diagrammatic: r first, then s."""
@@ -437,8 +442,8 @@ def tabulate(view, system, r):
     _, m = system.factor(pr.pair(r.left, r.right))
     p = view.cat.compose(pr.pi1, m)
     q = view.cat.compose(pr.pi2, m)
-    fw = is_map(view, graph(view.cat, p))
-    gw = is_map(view, graph(view.cat, q))
+    fw = is_map(view, view.of_morphism(p))
+    gw = is_map(view, view.of_morphism(q))
     composite = view.equal(r, view.compose(view.inv(fw.r), gw.r))
     if composite.fails:
         raise TabulationFailed("composite", (r, p, q))
@@ -485,6 +490,12 @@ class MapCategory(Category):
     intrinsically: pullbacks by tabulating g deg . f, never by appeal to
     the base category's own limits.
 
+    Where the view's equivalence certifies `maps_are_graphs`, a hom is the
+    graph classes of the base hom, complete. Otherwise it is the classes of
+    `view.hom` that `is_map` accepts: a repaired quotient can have maps
+    that are no graphs, such as the one map 1 -> 0 of FinSet `iso-all`
+    under `simEbullet`.
+
     `complete` stays true while every hom listed so far came from a
     complete class enumeration of the view.
     """
@@ -502,8 +513,12 @@ class MapCategory(Category):
     def hom(self, a, b):
         got = self._maps.get((a, b))
         if got is None:
-            reps, complete = self.view.hom(a, b)
-            got = ([r for r in reps if is_map(self.view, r).verdict.holds], complete)
+            view = self.view
+            if view.equiv.maps_are_graphs:
+                got = ([view.of_morphism(f) for f in view.cat.hom(a, b)], True)
+            else:
+                reps, complete = view.hom(a, b)
+                got = ([r for r in reps if is_map(view, r).verdict.holds], complete)
             self._maps[(a, b)] = got
         maps, complete = got
         self.complete = self.complete and complete

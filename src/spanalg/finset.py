@@ -40,6 +40,7 @@ class FinSetCategory(Category):
 
     def __init__(self, max_size=3):
         self.max_size = max_size
+        self._products = {}    # (a, b) -> its ProductResult, which nothing mutates
 
     def objects(self):
         return range(self.max_size + 1)
@@ -70,6 +71,12 @@ class FinSetCategory(Category):
         return 1, lambda a: FinMor(a, 1, (0,) * a)
 
     def product(self, a, b):
+        got = self._products.get((a, b))
+        if got is None:
+            got = self._products[(a, b)] = self._build_product(a, b)
+        return got
+
+    def _build_product(self, a, b):
         # (x, y) encoded as x*b + y
         apex = a * b
         pi1 = FinMor(apex, a, tuple(i // b for i in range(apex))) if b else FinMor(0, a, ())

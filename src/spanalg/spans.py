@@ -122,6 +122,8 @@ class SpanEquivalence:
     tag = "abstract"
     # every class a -> b holds one of relation_spans(cat, a, b)
     classes_are_relations = False
+    # the map classes a -> b are exactly the graphs of cat.hom(a, b), one each
+    maps_are_graphs = False
 
     def __init__(self, cat):
         self.cat = cat
@@ -164,10 +166,35 @@ class FactorizationEquivalence(SpanEquivalence):
         self.system = system
 
     @cached_property
+    def _stream_morphisms(self):
+        return Carrier(self.cat, self.cat.objects()).morphisms()
+
+    @cached_property
     def classes_are_relations(self):
         """M lies within the monos on the object stream (Span_E = Rel_M)."""
-        mors = Carrier(self.cat, self.cat.objects()).morphisms()
-        return first_outside(self.system.M, self.cat.is_mono, mors) is None
+        return first_outside(self.system.M, self.cat.is_mono,
+                             self._stream_morphisms) is None
+
+    @cached_property
+    def maps_are_graphs(self):
+        """Classes are relations, and no E-member on the object stream is
+        monic without being an iso (Map(Rel_M C) = C).
+
+        Let r = (r1, r2) be a map class, taken as a relation: M lies within
+        the monos, so its pairing is monic. Totality puts r1 in E.
+        Determinism puts the kernel pair of r1 inside that of r2, and joint
+        monicity makes their meet the diagonal, so r1 is monic. So r1 is a
+        monic E-member, hence an iso, and r is the graph of r2 after the
+        inverse of r1. Graphs of distinct morphisms are distinct: the
+        pairing <1, f> is monic, so the E-part of its factorization is a
+        monic E-member, hence an iso, and the graph is itself the relation
+        <1, f>, whose second leg is f.
+        """
+        if not self.classes_are_relations:
+            return False
+        cat, e = self.cat, self.system.E
+        return not any(e.membership(f).holds and cat.is_mono(f).holds
+                       and not cat.is_iso(f).holds for f in self._stream_morphisms)
 
     def m_part(self, s):
         pr, p = pairing(self.cat, s)

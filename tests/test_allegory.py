@@ -8,7 +8,7 @@ from spanalg import (FinSetCategory, Span, TabulationFailed, ThinCategory, alleg
                      check_allegorical_criterion, check_allegorical_relation,
                      check_gamma_pullback_preservation, check_modular_law,
                      check_order, check_special_modular_law,
-                     effective_retraction_sample, fin, find_unit, is_cover, is_map,
+                     effective_retraction_sample, fin, find_unit, graph, is_cover, is_map,
                      is_mono_map, make_equivalence, map_category, named_system,
                      relation_span, tabulate)
 from spanalg.allegory import AllegoryView, check_m_self_tabulation, counit_check
@@ -198,29 +198,49 @@ def test_ebullet_view_is_unitary_tabular(C, ebullet_view, iso_all):
             assert not tab.composite.fails and not tab.joint_monicity.fails
 
 
-def test_counit_unknown_when_a_map_hom_is_incomplete(C, surj_inj):
-    view = AllegoryView(C, make_equivalence(C, "simE", surj_inj), objects=range(3))
+def test_counit_unknown_when_a_map_hom_is_incomplete(C, iso_all, ebullet_class):
+    # the repaired quotient lists its map homs through view.hom and is_map,
+    # so a patched view.hom reaches them; every hom has one class, a map
+    view = AllegoryView(C, make_equivalence(C, "simEbullet", e_class=ebullet_class),
+                        objects=range(3))
+    assert not view.equiv.maps_are_graphs
     full_hom = view.hom
 
-    def hom_missing_identity(a, b):
-        # hom(1, 1) loses the identity, so the singleton relations 2 -> 1
-        # have no map span and the counit looks non-surjective
-        reps, complete = full_hom(a, b)
-        if (a, b) != (1, 1):
-            return reps, complete
-        return [r for r in reps if r.apex == 0], False
+    def hom_missing_maps_into_2(a, b):
+        # no map reaches 2, so no map span 2 <- w -> 1 exists and the
+        # counit looks non-surjective
+        return ([], False) if b == 2 else full_hom(a, b)
 
-    view.hom = hom_missing_identity
-    v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
+    view.hom = hom_missing_maps_into_2
+    v = counit_check(view, iso_all, 2, 1, apexes=range(3))
     assert v.unknown
     assert v.reason == \
         "counit not surjective onto the hom classes on an incomplete hom enumeration"
 
     # the flag alone, with nothing missing, also keeps the counit from Holds
     view.hom = lambda a, b: (full_hom(a, b)[0], (a, b) != (2, 2))
-    v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
+    v = counit_check(view, iso_all, 2, 1, apexes=range(3))
     assert v.unknown
     assert v.reason == "map hom enumeration incomplete"
+
+
+def test_counit_unknown_when_a_class_hom_is_incomplete(C, surj_inj):
+    # surj-inj map homs are graphs and skip view.hom, but the classes the
+    # counit must reach still come from it
+    view = AllegoryView(C, make_equivalence(C, "simE", surj_inj), objects=range(3))
+    assert view.equiv.maps_are_graphs
+    full_hom = view.hom
+
+    view.hom = lambda a, b: (full_hom(a, b)[0], (a, b) != (2, 1))
+    v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
+    assert v.unknown
+    assert v.reason == "hom enumeration incomplete"
+
+    view.hom = lambda a, b: \
+        (full_hom(a, b)[0][1:], False) if (a, b) == (2, 1) else full_hom(a, b)
+    v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
+    assert v.unknown
+    assert v.reason == "counit image count mismatch on an incomplete hom enumeration"
 
 
 # -- interning ---------------------------------------------------------------------
@@ -288,6 +308,17 @@ def test_identity_is_cached(make_view):
     first = [view.identity(a) for a in view.objects]
     calls = _count_decider_calls(view.equiv)
     assert all(view.identity(a) is r for a, r in zip(view.objects, first))
+    assert calls == {"key": 0, "equal": 0}
+
+
+@pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
+def test_graph_class_is_cached(make_view):
+    view = make_view()
+    mors = [f for a in view.objects for b in view.objects for f in view.cat.hom(a, b)]
+    first = [view.of_morphism(f) for f in mors]
+    assert all(r is view.rep(graph(view.cat, f)) for f, r in zip(mors, first))
+    calls = _count_decider_calls(view.equiv)
+    assert all(view.of_morphism(f) is r for f, r in zip(mors, first))
     assert calls == {"key": 0, "equal": 0}
 
 
@@ -388,29 +419,54 @@ def test_view_operations_match_oracle(small_view, triple):
     assert view.leq(rs, ts).holds == oracles.leq(r, t)
 
 
+@st.composite
+def _relation_with_ends(draw):
+    """r: a -> b, with a, b <= 3."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return (a, b), draw(_relations(a, b))
+
+
+@given(_relation_with_ends())
+def test_maps_and_tabulations_match_oracle(rel_view, surj_inj, drawn):
+    """is_map decides function-hood, and tabulate splits r into two graphs
+    whose composite is r, now that surj-inj map homs skip is_map."""
+    (a, b), r = drawn
+    view = rel_view
+    rs = relation_span(view.cat, a, b, r)
+    assert is_map(view, rs).verdict.holds == oracles.is_function(r, a, b)
+    tab = tabulate(view, surj_inj, rs)
+    assert tab.composite.holds and tab.joint_monicity.holds
+    w = tab.f.r.dom
+    assert tab.g.r.dom == w
+    f, g = _relation(tab.f.r), _relation(tab.g.r)
+    assert oracles.is_function(f, w, a) and oracles.is_function(g, w, b)
+    assert tab.f.verdict.holds and tab.g.verdict.holds
+    assert oracles.compose(oracles.transpose(f), g) == r
+
+
 # -- the hom listing against pairwise grouping --------------------------------------
+
+def _equivalence(cat, system, relation):
+    sys_ = named_system(cat, system)
+    if relation == "simE":
+        return make_equivalence(cat, relation, sys_)
+    if relation == "approx":
+        return make_equivalence(cat, relation)
+    carrier = default_carrier(cat)
+    if relation == "simEo":
+        return make_equivalence(cat, relation, e_class=e_circ(cat, sys_.E, carrier))
+    eb = e_bullet(cat, sys_, carrier, m_star(cat, sys_.M, carrier))
+    return make_equivalence(cat, relation, e_class=eb)
+
 
 def _finset2(system, relation="simE"):
     cat = FinSetCategory(2)
-    sys_ = named_system(cat, system)
-    if relation == "simE":
-        return cat, make_equivalence(cat, relation, sys_)
-    if relation == "approx":
-        return cat, make_equivalence(cat, relation)
-    carrier = default_carrier(cat)
-    if relation == "simEo":
-        return cat, make_equivalence(cat, relation, e_class=e_circ(cat, sys_.E, carrier))
-    eb = e_bullet(cat, sys_, carrier, m_star(cat, sys_.M, carrier))
-    return cat, make_equivalence(cat, relation, e_class=eb)
+    return cat, _equivalence(cat, system, relation)
 
 
 def _chain4(relation):
     cat = ThinCategory.chain(4)
-    sys_ = named_system(cat, "iso-all")
-    if relation == "simE":
-        return cat, make_equivalence(cat, relation, sys_)
-    return cat, make_equivalence(cat, relation,
-                                 e_class=e_circ(cat, sys_.E, default_carrier(cat)))
+    return cat, _equivalence(cat, "iso-all", relation)
 
 
 # name -> (category and equivalence, whether the reference lists every
@@ -462,3 +518,30 @@ def test_keyed_hom_listing_makes_no_equal_call(system):
 def test_classes_are_relations_when_m_is_monic(category, system, monic):
     equiv = make_equivalence(category, "simE", named_system(category, system))
     assert equiv.classes_are_relations is monic
+
+
+# -- map homs: graphs against the is_map filter ----------------------------------------
+
+MAP_VIEWS = {f"finset-{system}-{relation}": (lambda s=system, r=relation: _finset2(s, r))
+             for system in ("surj-inj", "iso-all", "all-iso")
+             for relation in ("simE", "simEo", "simEbullet", "approx")}
+MAP_VIEWS.update({f"thin-{relation}": (lambda r=relation: _chain4(r))
+                  for relation in ("simE", "simEo", "simEbullet")})
+GRAPH_VIEWS = {"finset-surj-inj-simE", "thin-simE"}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_VIEWS))
+def test_map_homs_are_the_classes_is_map_accepts(name):
+    """MapCategory.hom gives, by identity, the classes of view.hom that
+    is_map accepts and their completeness, on the graph path and off it."""
+    cat, equiv = MAP_VIEWS[name]()
+    assert equiv.maps_are_graphs is (name in GRAPH_VIEWS)
+    view = AllegoryView(cat, equiv)
+    for a, b in itertools.product(view.objects, repeat=2):
+        mc = map_category(view, None)
+        got = mc.hom(a, b)
+        reps, complete = view.hom(a, b)
+        want = [r for r in reps if is_map(view, r).verdict.holds]
+        assert len(got) == len(want), (a, b)
+        assert {id(r) for r in got} == {id(r) for r in want}, (a, b)
+        assert mc.complete == complete, (a, b)

@@ -44,6 +44,12 @@ def test_product_universal_property(C):
     assert C.compose(pr.pi2, h) == g
 
 
+def test_product_is_built_once_per_pair(C):
+    assert C.product(2, 3) is C.product(2, 3)
+    assert C.product(3, 2) is not C.product(2, 3)
+    assert C.product(3, 2).apex == 6
+
+
 def test_pullback_universal_property(C):
     f, g = fin(2, 2, (0, 0)), fin(3, 2, (0, 0, 1))
     pb = C.pullback(f, g)

@@ -27,6 +27,7 @@ COMMANDS = {
     "finset-ebullet-iso-all": ["ebullet", "--category", "finset", "--system", "iso-all",
                                "--max-size", "2"],
     "finset-map-counit": ["map-counit", "--category", "finset", "--max-size", "1"],
+    "finset-map-counit-2": ["map-counit", "--category", "finset", "--max-size", "2"],
     "finset-map-counit-iso-all-simEbullet": ["map-counit", "--category", "finset",
                                              "--system", "iso-all", "--relation",
                                              "simEbullet", "--max-size", "2"],
