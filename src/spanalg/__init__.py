@@ -16,11 +16,11 @@ from .errors import (ConfigError, DomainMismatch, EnumerationUnavailable,
                      LimitUnavailable, NoTerminal, NotParallel, ParseError,
                      SpanalgError, TabulationFailed)
 from .fincat import FinCatCategory, Functor, enumerate_categories, make_functor
-from .finset import FinMor, FinSetCategory, fin
+from .finset import FinMor, FinSetCategory, fin, span_pairs
 from .spans import (Span, approx, enumerate_hom_classes, functor_round_trip,
                     functoriality_of_R, graph, identity_span, involution,
                     make_equivalence, rel_compose, relation_span, span_compose,
-                    span_meet, span_pairs, vertically_isomorphic)
+                    span_meet, vertically_isomorphic)
 from .systems import FactSystem, default_carrier, named_system, validate_system
 from .tablecat import TableCategory, load_table_json, make_table
 from .thin import ThinCategory, ThinMor

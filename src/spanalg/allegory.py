@@ -195,10 +195,23 @@ class UnitWitness:
 
 # -- order and semilattice laws -------------------------------------------------
 
+def _within(items, total, budget, sweep):
+    """The first `budget` of `total` items, and the reason a Holds over
+    them is only Unknown, or None when the budget covers them all."""
+    if budget is None or total <= budget:
+        return items, None
+    return itertools.islice(items, budget), f"{sweep} cut at the bound ({budget} of {total})"
+
+
+def _cut(verdict, reason):
+    return Verdict.maybe(reason=reason) if verdict.holds and reason else verdict
+
+
 def check_order(view, a, b, triple_budget=None):
     """Meet laws on hom(a, b): idempotence, commutativity, associativity,
     greatest-lower-bound for the derived order, and involution
-    preserving meets."""
+    preserving meets. Unknown, not Holds, when `triple_budget` cuts the
+    associativity triples."""
     reps, complete = view.hom(a, b)
     if not reps:
         raise EnumerationUnavailable(f"no enumerable classes {a!r} -> {b!r}")
@@ -218,9 +231,8 @@ def check_order(view, a, b, triple_budget=None):
         if v.fails:
             return Verdict.no((r, s), "involution does not preserve meets")
         verdicts.append(v)
-    triples = itertools.product(reps, repeat=3)
-    if triple_budget is not None:
-        triples = itertools.islice(triples, triple_budget)
+    triples, cut = _within(itertools.product(reps, repeat=3), len(reps) ** 3,
+                           triple_budget, f"associativity triples on hom({a!r},{b!r})")
     for r, s, t in triples:
         v = view.equal(view.meet(view.meet(r, s), t), view.meet(r, view.meet(s, t)))
         if v.fails:
@@ -233,16 +245,17 @@ def check_order(view, a, b, triple_budget=None):
     out = combine(verdicts)
     if out.holds and not complete:
         return Verdict.maybe(reason=f"hom({a!r},{b!r}) enumeration incomplete")
-    return out
+    return _cut(out, cut)
 
 
-def check_monotone_composition(view, a, b, c, sample=None):
-    """r <= r' implies (r then s) <= (r' then s), and on the other side."""
+def check_monotone_composition(view, a, b, c, quad_budget=None):
+    """r <= r' implies (r then s) <= (r' then s), and on the other side.
+    Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads."""
     ab, _ = view.hom(a, b)
     bc, _ = view.hom(b, c)
-    quads = ((r, r2, s) for r in ab for r2 in ab for s in bc)
-    if sample is not None:
-        quads = itertools.islice(quads, sample)
+    quads, cut = _within(((r, r2, s) for r in ab for r2 in ab for s in bc),
+                         len(ab) ** 2 * len(bc), quad_budget,
+                         f"monotone-composition quads on ({a!r},{b!r},{c!r})")
     verdicts = []
     for r, r2, s in quads:
         if not view.leq(r, r2).holds:
@@ -256,7 +269,8 @@ def check_monotone_composition(view, a, b, c, sample=None):
         if w.fails:
             return Verdict.no((r, r2, s), "composition not monotone on the right")
         verdicts.append(w)
-    return combine(verdicts) if verdicts else Verdict.yes(reason="no comparable pairs")
+    out = combine(verdicts) if verdicts else Verdict.yes(reason="no comparable pairs")
+    return _cut(out, cut)
 
 
 def check_modular_law(view, triples):
@@ -289,16 +303,21 @@ def check_special_modular_law(view, sample):
     return combine(verdicts)
 
 
-def modular_triples(view, a, b, c):
+def modular_triples(view, a, b, c, budget=None):
+    """The triples (r, s, t) over hom(a, b), hom(b, c) and hom(a, c), cut
+    to `budget`, and the reason a Holds over them is only Unknown, or None
+    when none was cut."""
     ab, _ = view.hom(a, b)
     bc, _ = view.hom(b, c)
     ac, _ = view.hom(a, c)
-    return itertools.product(ab, bc, ac)
+    return _within(itertools.product(ab, bc, ac), len(ab) * len(bc) * len(ac),
+                   budget, f"modular triples on ({a!r},{b!r},{c!r})")
 
 
 def allegory_suite(view, objects=None, triple_budget=None, order_triple_budget=None):
     """Order laws, monotone composition, and both modular laws over all
-    hom-configurations on the given objects."""
+    hom-configurations on the given objects. A sweep that a budget cuts
+    gives Unknown, with a reason that names it."""
     objs = view.objects if objects is None else list(objects)
     verdicts = []
     for a, b in itertools.product(objs, repeat=2):
@@ -307,17 +326,15 @@ def allegory_suite(view, objects=None, triple_budget=None, order_triple_budget=N
             return Verdict.no(v.witness, f"order laws fail on hom({a!r},{b!r}): {v.reason}")
         verdicts.append(v)
     for a, b, c in itertools.product(objs, repeat=3):
-        v = check_monotone_composition(view, a, b, c, sample=triple_budget)
+        v = check_monotone_composition(view, a, b, c, quad_budget=triple_budget)
         if v.fails:
             return Verdict.no(v.witness, v.reason)
         verdicts.append(v)
-        triples = modular_triples(view, a, b, c)
-        if triple_budget is not None:
-            triples = itertools.islice(triples, triple_budget)
+        triples, cut = modular_triples(view, a, b, c, triple_budget)
         v = check_modular_law(view, triples)
         if v.fails:
             return Verdict.no(v.witness, v.reason)
-        verdicts.append(v)
+        verdicts.append(_cut(v, cut))
     for a, b in itertools.product(objs, repeat=2):
         v = check_special_modular_law(view, view.hom(a, b)[0])
         if v.fails:

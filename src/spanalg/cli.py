@@ -261,7 +261,8 @@ def cmd_check_allegory(ctx, rep):
     spec = {"objects": len(objs), "seed": ctx.args.seed}
     suite = rep.run("allegory-suite",
                     lambda: allegory_suite(view, objects=objs,
-                                           triple_budget=ctx.args.bound), spec)
+                                           triple_budget=ctx.args.bound,
+                                           order_triple_budget=ctx.args.bound), spec)
     rep.run("seeded-modular-triples",
             lambda: check_modular_law(view, _seeded_triples(view, ctx.rng, objs, 50)),
             spec)

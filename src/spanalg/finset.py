@@ -33,6 +33,29 @@ def fin(dom, cod, table):
     return FinMor(dom, cod, table)
 
 
+# -- rows of spans ---------------------------------------------------------
+# A span a <- w -> b has one row (left(x), right(x)) per x in w. The M-part
+# of a span under a factorization system is a span again, and its rows
+# depend only on the span's rows; each rule below is that dependence for
+# one system, as rule(a, b, rows) on the sorted rows.
+
+def image_rows(a, b, rows):
+    """Each distinct row once, in order: the rows of the image of the
+    pairing, which is the M-part under surj-inj."""
+    return tuple(sorted(set(rows)))
+
+
+def product_rows(a, b, rows):
+    """Every row of a x b in product order: under all-iso the M-part of
+    every span a -> b is the product span."""
+    return tuple(iproduct(range(a), range(b)))
+
+
+def span_pairs(s):
+    """The image of a FinSet span as a sorted pair tuple."""
+    return image_rows(s.dom, s.cod, zip(s.left.table, s.right.table))
+
+
 class FinSetCategory(Category):
     """FinSet restricted to objects of size <= max_size."""
 

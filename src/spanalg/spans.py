@@ -202,12 +202,12 @@ class FactorizationEquivalence(SpanEquivalence):
         return Span(m.dom, self.cat.compose(pr.pi1, m), self.cat.compose(pr.pi2, m))
 
     def key(self, s):
-        # the row form of the M-part; asked before the M-part is built,
-        # since rep() calls key on every lookup
-        if self.cat.span_rows is None:
+        # the rows of the M-part, read off the span's rows by the system's
+        # rule; with no row form or no rule there is no key
+        rows, m_rows = self.cat.span_rows, self.system.m_rows
+        if rows is None or m_rows is None:
             return None
-        c = self.m_part(s)
-        return (s.dom, s.cod, self.cat.span_rows(c.left, c.right))
+        return (s.dom, s.cod, m_rows(s.dom, s.cod, rows(s.left, s.right)))
 
     def span_of_key(self, k):
         return Span(*self.cat.span_of_rows(*k))
@@ -318,11 +318,6 @@ def relation_span(cat, a, b, pairs):
     """The canonical monic span for a set of pairs in a x b, on an
     instance with a row form."""
     return Span(*cat.span_of_rows(a, b, tuple(sorted(set(pairs)))))
-
-
-def span_pairs(s):
-    """FinSet only: the multiset image of a span as a sorted pair tuple."""
-    return tuple(sorted(set(zip(s.left.table, s.right.table))))
 
 
 # -- M-relations and the S/R functors -----------------------------------------

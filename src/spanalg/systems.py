@@ -6,12 +6,12 @@ a system is trusted by downstream modules.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .classes import Carrier, MorClass, builtin_class, validate_stable_system
 from .errors import ConfigError
 from .fincat import make_functor
-from .finset import FinMor
+from .finset import FinMor, image_rows, product_rows
 from .tablecat import make_table
 from .verdict import Verdict, combine
 
@@ -23,6 +23,10 @@ class FactSystem:
     E: MorClass
     M: MorClass
     factor: Callable  # f -> (e, m) with m . e = f
+    # (a, b, rows) -> the rows of the M-part of a span a -> b with these
+    # rows, on an instance with a row form (Category.span_rows); simE keys
+    # are read off it, and a system without one has no keys
+    m_rows: Optional[Callable] = None
 
 
 # -- FinSet systems -----------------------------------------------------------
@@ -38,9 +42,14 @@ def _finset_image_factor(f):
 def finset_system(cat, name):
     if name == "surj-inj":
         return FactSystem(name, cat, builtin_class(cat, "surjective"),
-                          builtin_class(cat, "injective"), _finset_image_factor)
+                          builtin_class(cat, "injective"), _finset_image_factor,
+                          image_rows)
     if name in ("iso-all", "all-iso"):
-        return thin_system(cat, name)
+        system = thin_system(cat, name)
+        # M = all keeps a span's rows; M = isos makes every M-part the
+        # product span
+        system.m_rows = (lambda a, b, rows: rows) if name == "iso-all" else product_rows
+        return system
     raise ConfigError(f"unknown FinSet system {name!r}")
 
 

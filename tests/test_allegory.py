@@ -39,6 +39,31 @@ def test_order_laws_hold(small_view):
         assert check_order(small_view, a, b).holds
 
 
+def test_check_order_is_unknown_when_the_bound_cuts_its_triples():
+    cat = FinSetCategory(2)
+    view = AllegoryView(cat, make_equivalence(cat, "simE", named_system(cat, "surj-inj")))
+    v = check_order(view, 2, 2, triple_budget=10)
+    assert v.unknown
+    assert v.reason == "associativity triples on hom(2,2) cut at the bound (10 of 4096)"
+    assert check_order(view, 2, 2, triple_budget=4096).holds
+    assert check_order(view, 2, 2).holds
+
+
+@pytest.mark.parametrize("budget, order_budget, reason", [
+    (None, 7, "associativity triples on hom(1,1) cut at the bound (7 of 8)"),
+    (8, None, "monotone-composition quads on (1,1,2) cut at the bound (8 of 16)"),
+    (16, None, "modular triples on (1,1,2) cut at the bound (16 of 32)"),
+    (None, None, None),
+])
+def test_suite_names_the_sweep_a_budget_cuts(small_view, budget, order_budget, reason):
+    v = allegory_suite(small_view, objects=[1, 2], triple_budget=budget,
+                       order_triple_budget=order_budget)
+    if reason is None:
+        assert v.holds
+    else:
+        assert v.unknown and v.reason == reason
+
+
 def test_order_idempotence_fails_for_iso_all(C, iso_all):
     view = AllegoryView(C, make_equivalence(C, "simE", iso_all), objects=range(3))
     v = check_order(view, 1, 1)

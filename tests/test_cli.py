@@ -30,6 +30,15 @@ def test_check_allegory_surj_inj(capsys):
     assert run(["check-allegory", "--max-size", "2"]) == 0
 
 
+def test_bound_cuts_the_order_triples(capsys):
+    code = run(["check-allegory", "--max-size", "1", "--bound", "3", "--format", "json"])
+    assert code == 2
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    suite = {l["check"]: l for l in lines}["allegory-suite"]
+    assert suite["verdict"] == "Unknown"
+    assert suite["reason"] == "associativity triples on hom(1,1) cut at the bound (3 of 8)"
+
+
 def test_check_allegory_iso_all_fails_with_witness(capsys):
     code = run(["check-allegory", "--system", "iso-all", "--max-size", "2",
                 "--format", "json"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,8 @@ from spanalg import (FinSetCategory, NotParallel, Span, ThinCategory, builtin_cl
                      functor_round_trip, functoriality_of_R, graph, identity_span,
                      involution, make_equivalence, rel_compose, relation_span,
                      span_compose, span_meet, span_pairs, vertically_isomorphic)
-from spanalg.spans import FactorizationEquivalence, StableClassEquivalence
+from spanalg.spans import (FactorizationEquivalence, StableClassEquivalence,
+                           relation_spans, stream_spans)
 from spanalg.systems import thin_system
 
 import oracles
@@ -58,6 +60,36 @@ def test_factorization_equivalence_quotients_row_duplication(C, surj_inj, iso_al
     assert FactorizationEquivalence(C, surj_inj).equal(s1, s2).holds
     # with E = isos the multiplicity matters
     assert FactorizationEquivalence(C, iso_all).equal(s1, s2).fails
+
+
+def test_keys_are_the_rows_of_the_m_part(C, surj_inj, iso_all, all_iso):
+    """Each FinSet system's row rule gives the rows of the M-part that
+    factor builds, on every stream and relation span over a, b <= 3."""
+    for system in (surj_inj, iso_all, all_iso):
+        eq = FactorizationEquivalence(C, system)
+        n = 0
+        for a, b in itertools.product(range(4), repeat=2):
+            streamed = stream_spans(C, a, b)
+            n += len(streamed)
+            for s in streamed + relation_spans(C, a, b):
+                m = eq.m_part(s)
+                assert eq.key(s) == (s.dom, s.cod, C.span_rows(m.left, m.right)), \
+                    (system.name, s)
+        assert n == 1544
+
+
+def test_a_system_without_a_row_rule_has_no_keys(C, surj_inj, iso_all, all_iso):
+    """With no row rule, key is None and equal decides through the M-parts,
+    agreeing with the keys of the system that has the rule."""
+    spans = all_spans(C, 2, 2, range(3))
+    for system in (surj_inj, iso_all, all_iso):
+        keyed = FactorizationEquivalence(C, system)
+        bare = FactorizationEquivalence(C, dataclasses.replace(system, m_rows=None))
+        for s1, s2 in itertools.product(spans, repeat=2):
+            assert bare.key(s1) is None
+            v = bare.equal(s1, s2)
+            assert not v.unknown
+            assert v.holds == (keyed.key(s1) == keyed.key(s2)), (system.name, s1, s2)
 
 
 def test_stable_class_equivalence_agrees_with_factorization(C, surj_inj):
