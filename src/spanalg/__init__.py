@@ -9,9 +9,9 @@ from .allegory import (AllegoryView, MapWitness, Tabulation, UnitWitness,
                        counit, counit_check, effective_retraction_sample, find_unit,
                        is_cover, is_map, is_mono_map, map_category, tabulate)
 from .category import Category, ProductResult, PullbackResult, check_associativity
-from .classes import (Carrier, MorClass, builtin_class, check_splitepi_mono_agreement,
-                      composition_closure, conjugates, e_bullet, e_circ,
-                      explicit_class, m_star, union_class, validate_stable_system)
+from .classes import (Carrier, MorClass, builtin_class, carrier_class,
+                      check_splitepi_mono_agreement, composition_closure, conjugates,
+                      e_bullet, e_circ, m_star, validate_stable_system)
 from .errors import (ConfigError, DomainMismatch, EnumerationUnavailable,
                      LimitUnavailable, NoTerminal, NotParallel, ParseError,
                      SpanalgError, TabulationFailed)

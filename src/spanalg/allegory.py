@@ -461,10 +461,9 @@ def tabulate(view, system, r):
     q = view.cat.compose(pr.pi2, m)
     fw = is_map(view, view.of_morphism(p))
     gw = is_map(view, view.of_morphism(q))
-    composite = view.equal(r, view.compose(view.inv(fw.r), gw.r))
+    composite, monic = _tabulation_equations(view, r, fw.r, gw.r)
     if composite.fails:
         raise TabulationFailed("composite", (r, p, q))
-    monic = jointly_monic(view, fw.r, gw.r)
     if monic.fails:
         raise TabulationFailed("joint-monicity", (r, p, q))
     return Tabulation(fw, gw, r, composite, monic)
@@ -608,11 +607,10 @@ def _square_tabulates(view, h, k, p1, p2):
     """The pulled-back pair ([1,p1], [1,p2]) tabulates [1,k] deg after
     [1,h], i.e. the span class (p1, p2)."""
     target = view.compose(view.of_morphism(h), view.inv(view.of_morphism(k)))
-    gp1, gp2 = view.of_morphism(p1), view.of_morphism(p2)
-    composite = view.equal(target, view.compose(view.inv(gp1), gp2))
+    composite, monic = _tabulation_equations(view, target, view.of_morphism(p1),
+                                             view.of_morphism(p2))
     if composite.fails:
         return Verdict.no((h, k), "pullback span does not recover the composite")
-    monic = jointly_monic(view, gp1, gp2)
     if monic.fails:
         return Verdict.no((h, k), "pullback legs not jointly monic")
     return combine([composite, monic])
@@ -642,11 +640,9 @@ def check_m_self_tabulation(view, m_sample):
     verdicts = []
     for m in m_sample:
         gm = view.of_morphism(m)
-        target = view.rep(Span(m.dom, m, m))
-        composite = view.equal(target, view.compose(view.inv(gm), gm))
+        composite, monic = _tabulation_equations(view, view.rep(Span(m.dom, m, m)), gm, gm)
         if composite.fails:
             return Verdict.no(m, "[m,m] not recovered from its diagonal pair")
-        monic = jointly_monic(view, gm, gm)
         if monic.fails:
             return Verdict.no(m, "diagonal pair on m not jointly monic")
         verdicts.append(combine([composite, monic]))
@@ -654,6 +650,16 @@ def check_m_self_tabulation(view, m_sample):
 
 
 # -- relations over maps and the counit --------------------------------------------
+
+def _tabulation_equations(view, target, f, g):
+    """The two equations of a tabulation of target by the maps f and g:
+    target ~ f deg . g, then f and g jointly monic. The second is None,
+    not evaluated, when the first Fails."""
+    composite = view.equal(target, view.compose(view.inv(f), g))
+    if composite.fails:
+        return composite, None
+    return composite, jointly_monic(view, f, g)
+
 
 def jointly_monic(view, h, k):
     """(h deg . h) meet (k deg . k) = 1, the kernel-pair reading of the

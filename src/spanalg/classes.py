@@ -1,10 +1,11 @@
 """Morphism-class algebra.
 
-MorClass values wrap a decidable membership procedure or a member set.
-Closure classes are computed to fixpoint on a bounded carrier
-(all morphisms between a finite set of objects); membership outside the
-carrier is Unknown, and Fails inside the carrier is sound only relative
-to the bound.
+MorClass values wrap a membership procedure. Closure classes are
+computed to fixpoint on a bounded carrier (all morphisms between a finite
+set of objects) and built by `carrier_class`: on the carrier their member
+set decides, so Fails there is sound only relative to the bound; beyond
+it only their certification rules, or a proof that the class is monic,
+decide, and the rest is Unknown.
 """
 
 from dataclasses import dataclass
@@ -41,34 +42,14 @@ class Carrier:
             and self._obj_set.issuperset(self.category.objects())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MorClass:
     name: str
-    membership_fn: Callable = None
-    members: Optional[frozenset] = None    # explicit and closure classes
-    carrier: Optional[Carrier] = None
-    rules: tuple = ()                      # f -> Verdict; Holds certifies membership
-    monic_complete: bool = False           # within the monos; rules certify each mono
-    subset_search_complete: bool = False   # a failed middle-span search is conclusive
+    membership_fn: Callable               # f -> Verdict
+    members: Optional[frozenset] = None   # the carrier members of a carrier class
+    subset_search_complete: bool = False  # a failed middle-span search is conclusive
 
     def membership(self, f):
-        for rule in self.rules:
-            v = rule(f)
-            if v.holds:
-                return v
-        if self.members is not None:
-            if self.carrier is None or self.carrier.contains_endpoints(f):
-                if f in self.members:
-                    return Verdict.yes()
-                if self.carrier is not None and self.carrier.contains_endpoints(f):
-                    return Verdict.no(reason=f"not in {self.name} (bound-relative)")
-            if self.monic_complete and self.carrier is not None:
-                # the class provably consists of monomorphisms and the rules
-                # certify every monomorphism, so non-monos are definite Fails
-                mono = self.carrier.category.is_mono(f)
-                if mono.fails:
-                    return Verdict.no(reason=f"not monic, {self.name} <= monos")
-            return Verdict.maybe(f"outside carrier of {self.name}")
         return self.membership_fn(f)
 
     def holds(self, f):
@@ -106,19 +87,36 @@ def builtin_class(cat, name):
     raise ValueError(f"unknown builtin class {name!r}")
 
 
-def explicit_class(name, morphisms, carrier=None):
-    return MorClass(name, members=frozenset(morphisms), carrier=carrier)
+def carrier_class(name, members, carrier, rules=(), monic=False):
+    """The class whose members on the carrier are `members`.
 
+    On the carrier the member set decides: Holds, or Fails relative to the
+    bound. Beyond it, the rules (f -> Verdict, Holds certifies) certify
+    members; `monic` states that the class lies within the monos and the
+    rules certify every mono in it, so a non-mono definitely Fails. Else
+    the verdict is Unknown. A failed middle-span search is conclusive when
+    the class is monic, or when the carrier holds every object and every
+    member is monic.
+    """
+    cat = carrier.category
+    members = frozenset(members)
 
-def union_class(name, *classes):
-    def member(f):
-        verdicts = [c.membership(f) for c in classes]
-        if any(v.holds for v in verdicts):
-            return Verdict.yes()
-        if any(v.unknown for v in verdicts):
-            return Verdict.maybe("some constituent Unknown")
-        return Verdict.no(reason=f"in no constituent of {name}")
-    return MorClass(name, membership_fn=member)
+    def membership(f):
+        if carrier.contains_endpoints(f):
+            if f in members:
+                return Verdict.yes()
+            return Verdict.no(reason=f"not in {name} (bound-relative)")
+        for rule in rules:
+            v = rule(f)
+            if v.holds:
+                return v
+        if monic and cat.is_mono(f).fails:
+            return Verdict.no(reason=f"not monic, {name} <= monos")
+        return Verdict.maybe(f"outside carrier of {name}")
+
+    complete = monic or (carrier.holds_every_object()
+                         and all(cat.is_mono(f).holds for f in members))
+    return MorClass(name, membership, members, complete)
 
 
 # -- validation ---------------------------------------------------------------
@@ -166,48 +164,37 @@ def validate_stable_system(cat, e_class, carrier):
 
 # -- closures -----------------------------------------------------------------
 
-def composition_closure(cat, x_class, carrier, include_isos=True):
-    """Least class containing X (and isos) closed under binary composition,
-    computed to fixpoint on the carrier."""
-    mors = carrier.morphisms()
-    members = {f for f in mors if x_class.membership(f).holds}
-    if include_isos:
-        members |= {f for f in mors if cat.is_iso(f).holds}
-    changed = True
-    while changed:
-        changed = False
-        current = list(members)
-        for f in current:
-            for g in current:
-                if f.cod == g.dom:
-                    gf = cat.compose(g, f)
-                    if gf not in members:
-                        members.add(gf)
-                        changed = True
-    return closure_class(cat, f"({x_class.name})^c", members, carrier)
+def _close(seed, step):
+    """Least set containing the seed and closed under step, by a
+    semi-naive worklist: each member f is processed once, and step(f, done)
+    yields what f makes with the members processed so far (done ends
+    with f itself)."""
+    todo = list(dict.fromkeys(seed))
+    members = set(todo)
+    done = []
+    while todo:
+        f = todo.pop()
+        done.append(f)
+        for g in step(f, done):
+            if g not in members:
+                members.add(g)
+                todo.append(g)
+    return members
 
 
-def closure_class(cat, name, members, carrier):
-    """The class of the given carrier members. A failed middle-span search
-    is conclusive when the carrier holds every object, so membership is
-    decided everywhere, and every member is monic."""
-    complete = carrier.holds_every_object() and all(cat.is_mono(f).holds for f in members)
-    return MorClass(name, members=frozenset(members), carrier=carrier,
-                    subset_search_complete=complete)
+def composition_closure(cat, generators, carrier):
+    """The least set of carrier morphisms that contains the generators and
+    the isos and is closed under binary composition."""
 
+    def compose_with(f, done):
+        for g in done:
+            if f.cod == g.dom:
+                yield cat.compose(g, f)
+            if g.cod == f.dom and g is not f:
+                yield cat.compose(f, g)
 
-def _iso_rule(cat):
-    def rule(f):
-        v = cat.is_iso(f)
-        return Verdict.yes(v.witness, "iso") if v.holds else Verdict.no()
-    return rule
-
-
-def _member_rule(base):
-    def rule(f):
-        v = base.membership(f)
-        return v if v.holds else Verdict.no()
-    return rule
+    isos = [f for f in carrier.morphisms() if cat.is_iso(f).holds]
+    return _close(list(generators) + isos, compose_with)
 
 
 def _section_of_m_rule(cat, m_class):
@@ -231,11 +218,9 @@ def _section_of_m_rule(cat, m_class):
 def e_circ(cat, e_class, carrier):
     """Least stable system containing E and all split epimorphisms."""
     split = builtin_class(cat, "splitEpis")
-    gen = union_class(f"{e_class.name}+splitEpi", e_class, split)
-    out = composition_closure(cat, gen, carrier)
-    out.name = f"({e_class.name})_o"
-    out.rules = (_iso_rule(cat), _member_rule(e_class), _member_rule(split))
-    return out
+    gens = [f for f in carrier.morphisms() if e_class.holds(f) or split.holds(f)]
+    return carrier_class(f"({e_class.name})_o", composition_closure(cat, gens, carrier),
+                         carrier, rules=(cat.is_iso, e_class.membership, split.membership))
 
 
 def conjugates(cat, m_class, carrier):
@@ -285,34 +270,23 @@ def conjugates(cat, m_class, carrier):
 def m_star(cat, m_class, carrier):
     """Closure under pullback (and iso pre/post-composition, to absorb the
     choice of pullback) of the conjugate class, to fixpoint on the carrier."""
-    members = {c for c in conjugates(cat, m_class, carrier)
-               if carrier.contains_endpoints(c)}
     mors = carrier.morphisms()
     isos = [f for f in mors if cat.is_iso(f).holds]
-    changed = True
-    while changed:
-        changed = False
-        for h in list(members):
-            for q in mors:
-                if q.cod != h.cod:
-                    continue
-                pb = cat.pullback(h, q)
-                leg = pb.p2  # pullback of h along q
-                if carrier.contains_endpoints(leg) and leg not in members:
-                    members.add(leg)
-                    changed = True
-            for i in isos:
-                if i.cod == h.dom:
-                    hi = cat.compose(h, i)
-                    if hi not in members:
-                        members.add(hi)
-                        changed = True
-                if i.dom == h.cod:
-                    ih = cat.compose(i, h)
-                    if ih not in members:
-                        members.add(ih)
-                        changed = True
-    return closure_class(cat, f"({m_class.name})*", members, carrier)
+
+    def pull_back(h, done):
+        for q in mors:
+            if q.cod == h.cod:
+                leg = cat.pullback(h, q).p2  # pullback of h along q
+                if carrier.contains_endpoints(leg):
+                    yield leg
+        for i in isos:
+            if i.cod == h.dom:
+                yield cat.compose(h, i)
+            if i.dom == h.cod:
+                yield cat.compose(i, h)
+
+    conj = [c for c in conjugates(cat, m_class, carrier) if carrier.contains_endpoints(c)]
+    return carrier_class(f"({m_class.name})*", _close(conj, pull_back), carrier)
 
 
 def e_bullet(cat, system, carrier, mstar):
@@ -321,15 +295,11 @@ def e_bullet(cat, system, carrier, mstar):
     built by the caller. What the instance proves beyond the generic
     rules comes from `cat.e_bullet_facts`.
     """
-    gen = union_class(f"{system.E.name}+M*", system.E, mstar)
-    out = composition_closure(cat, gen, carrier)
-    out.name = f"({system.E.name})_bullet"
-    extra_rules, monic = cat.e_bullet_facts(system, out.members)
-    out.rules = (_iso_rule(cat), _member_rule(system.E),
-                 _section_of_m_rule(cat, system.M)) + extra_rules
-    out.monic_complete = monic
-    out.subset_search_complete = out.subset_search_complete or monic
-    return out
+    gens = [f for f in carrier.morphisms() if system.E.holds(f) or mstar.holds(f)]
+    members = composition_closure(cat, gens, carrier)
+    extra_rules, monic = cat.e_bullet_facts(system, members)
+    rules = (cat.is_iso, system.E.membership, _section_of_m_rule(cat, system.M)) + extra_rules
+    return carrier_class(f"({system.E.name})_bullet", members, carrier, rules, monic)
 
 
 def first_outside(cls, test, morphisms):

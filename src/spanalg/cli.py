@@ -67,6 +67,8 @@ def build_category(args):
         if not 0 <= args.max_size <= 3:
             raise ConfigError(f"--category finset takes --max-size 0..3, not {args.max_size}")
         return FinSetCategory(args.max_size)
+    if args.max_size < 0:
+        raise ConfigError(f"--max-size takes 0 or more, not {args.max_size}")
     if args.category == "thin":
         return ThinCategory.chain(max(args.max_size, 1))
     if args.category == "fincat":
@@ -93,6 +95,8 @@ class Context:
 
     def __init__(self, args):
         self.args = args
+        if args.bound < 0:
+            raise ConfigError(f"--bound takes 0 or more, not {args.bound}")
         self.cat = build_category(args)
         self.carrier = self.system = None
         if args.category != "table":

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .category import Category, ProductResult, PullbackResult
-from .tablecat import TableCategory, make_table, one_object
+from .tablecat import TableCategory, normal_table, one_object
 from .verdict import Verdict
 
 
@@ -88,7 +88,7 @@ def enumerate_categories(max_objects, max_morphisms):
     cats = []
     for k in range(max_objects + 1):
         if k == 0:
-            cats.append(make_table([], [], {}, {}))
+            cats.append(normal_table([], [], {}, {}))
             continue
         if k > max_morphisms:
             continue
@@ -145,7 +145,7 @@ def _fill_tables(objs, mors, ids, dom, cod, names, pairs):
         if not assoc_ok(comp):
             return
         if i == len(pairs):
-            out.append(make_table(objs, mors, ids, comp))
+            out.append(normal_table(objs, mors, ids, comp))
             return
         g, f = pairs[i]
         for m in candidates(g, f):
@@ -170,7 +170,7 @@ def _sub_product(c, d, obj_ok, mor_ok):
         for (u2, v2), _, _ in mors:
             if c.cod(u) == c.dom(u2) and d.cod(v) == d.dom(v2):
                 comp[((u2, v2), (u, v))] = (c.compose(u2, u), d.compose(v2, v))
-    apex = make_table(objs, mors, ids, comp)
+    apex = normal_table(objs, mors, ids, comp)
     p1 = _functor(apex, c, (((a, b), a) for a, b in objs),
                   (((u, v), u) for (u, v), _, _ in mors))
     p2 = _functor(apex, d, (((a, b), b) for a, b in objs),

@@ -12,7 +12,7 @@ from .classes import Carrier, MorClass, builtin_class, validate_stable_system
 from .errors import ConfigError
 from .fincat import make_functor
 from .finset import FinMor, image_rows, product_rows
-from .tablecat import make_table
+from .tablecat import normal_table
 from .verdict import Verdict, combine
 
 
@@ -85,7 +85,7 @@ def _fincat_bijobj_ff_factor(f):
         for (y2, z, h2), _, _ in mors:
             if y2 == y:
                 comp[((y2, z, h2), (x, y, h))] = (x, z, d.compose(h2, h))
-    mid = make_table(objs, mors, ids, comp)
+    mid = normal_table(objs, mors, ids, comp)
     e = make_functor(c, mid, {x: x for x in objs},
                      {u: (c.dom(u), c.cod(u), fm[u]) for u in c.mor_ids()})
     m = make_functor(mid, d, {x: fo[x] for x in objs},
@@ -106,7 +106,7 @@ def _fincat_surjobj_factor(f):
         for h2, _, _ in mors:
             if d.cod(h) == d.dom(h2):
                 comp[(h2, h)] = d.compose(h2, h)
-    mid = make_table(image_objs, mors, ids, comp)
+    mid = normal_table(image_objs, mors, ids, comp)
     e = make_functor(c, mid, {x: fo[x] for x in c.objects},
                      {u: fm[u] for u in c.mor_ids()})
     m = make_functor(mid, d, {x: x for x in image_objs},

@@ -99,16 +99,21 @@ class TableCategory:
         return self
 
 
-def make_table(objects, morphisms, identities, composition):
-    """Normalize raw collections into a validated TableCategory."""
-    tc = TableCategory(
+def normal_table(objects, morphisms, identities, composition):
+    """Normalize raw collections into a TableCategory without checking the
+    category laws: for tables whose construction already satisfies them."""
+    return TableCategory(
         objects=tuple(objects),
         morphisms=tuple(tuple(m) for m in morphisms),
         identities=tuple(sorted(dict(identities).items(), key=repr)),
         composition=tuple(sorted(((tuple(k), v) for k, v in dict(composition).items()),
                                  key=repr)),
     )
-    return tc.validate()
+
+
+def make_table(objects, morphisms, identities, composition):
+    """Normalize raw collections into a validated TableCategory."""
+    return normal_table(objects, morphisms, identities, composition).validate()
 
 
 def load_table_json(path):

@@ -8,6 +8,9 @@ limits as given and runs one commutative cube per member of M, the
 reference for the cube search of `spanalg.classes.conjugates`.
 `group_by_equal` groups spans with pairwise calls to an equivalence's
 `equal`, the reference for the class listing of `AllegoryView.hom`.
+`composition_closure` and `pullback_closure` recompute every member in
+every round, the references for the worklist fixpoint of
+`spanalg.classes`.
 """
 
 import itertools
@@ -82,6 +85,38 @@ def conjugates(cat, m_class, carrier):
                     if conj is not None and carrier.contains_endpoints(conj):
                         out.add(conj)
     return out
+
+
+def _rounds(members, step):
+    """Apply step to the whole member set until a round adds nothing."""
+    members = set(members)
+    while True:
+        new = step(members) - members
+        if not new:
+            return members
+        members |= new
+
+
+def composition_closure(cat, generators, carrier):
+    """The generators and the carrier isos, closed under composition."""
+    isos = {f for f in carrier.morphisms() if cat.is_iso(f).holds}
+    return _rounds(set(generators) | isos,
+                   lambda ms: {cat.compose(g, f) for f in ms for g in ms if f.cod == g.dom})
+
+
+def pullback_closure(cat, seed, carrier):
+    """The seed's carrier morphisms, closed under pullback along carrier
+    morphisms and under composition with carrier isos on either side."""
+    mors = carrier.morphisms()
+    isos = [f for f in mors if cat.is_iso(f).holds]
+
+    def step(ms):
+        legs = {cat.pullback(h, q).p2 for h in ms for q in mors if q.cod == h.cod}
+        legs |= {cat.compose(h, i) for h in ms for i in isos if i.cod == h.dom}
+        legs |= {cat.compose(i, h) for h in ms for i in isos if i.dom == h.cod}
+        return {f for f in legs if carrier.contains_endpoints(f)}
+
+    return _rounds({f for f in seed if carrier.contains_endpoints(f)}, step)
 
 
 def group_by_equal(equiv, spans):

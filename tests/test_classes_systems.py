@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from spanalg import (Carrier, FinCatCategory, FinSetCategory, builtin_class,
+from spanalg import (Carrier, FinCatCategory, FinSetCategory, builtin_class, carrier_class,
                      check_splitepi_mono_agreement, composition_closure, conjugates,
-                     default_carrier, e_bullet, e_circ, explicit_class, fin, m_star,
-                     union_class, validate_stable_system)
+                     default_carrier, e_bullet, e_circ, fin, m_star,
+                     validate_stable_system)
+from spanalg import classes
 from spanalg.systems import FactSystem, finset_system, thin_system, validate_system
 from spanalg.thin import ThinCategory
 
@@ -39,16 +41,33 @@ def test_injections_are_not_a_stable_system_under_all_pullback_legs(C, carrier):
 def test_non_stable_class_detected(C, carrier):
     # constants 2 -> 2 do not compose with isos back into the class
     members = [f for f in carrier.morphisms() if len(set(f.table)) <= 1]
-    cls = explicit_class("constants", members, carrier)
+    cls = carrier_class("constants", members, carrier)
     v = validate_stable_system(C, cls, carrier)
     assert v.fails
 
 
 def test_composition_closure_adds_isos(C, carrier):
     seed = [fin(2, 2, (0, 0))]
-    closed = composition_closure(C, explicit_class("seed", seed, carrier), carrier)
-    assert C.identity(3) in closed.members
-    assert fin(2, 2, (0, 0)) in closed.members
+    closed = composition_closure(C, seed, carrier)
+    assert C.identity(3) in closed
+    assert fin(2, 2, (0, 0)) in closed
+
+
+@given(st.data())
+def test_composition_closure_matches_the_round_by_round_oracle(C, carrier, data):
+    gens = data.draw(st.sets(st.sampled_from(carrier.morphisms()), max_size=6))
+    assert composition_closure(C, gens, carrier) == oracles.composition_closure(C, gens, carrier)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_m_star_matches_the_round_by_round_oracle(C, carrier, data):
+    # the conjugates of a named system's M are already closed; those of a
+    # few arbitrary morphisms are not
+    ms = data.draw(st.sets(st.sampled_from(carrier.morphisms()), min_size=1, max_size=3))
+    m_class = carrier_class("M", ms, carrier)
+    expected = oracles.pullback_closure(C, conjugates(C, m_class, carrier), carrier)
+    assert m_star(C, m_class, carrier).members == expected
 
 
 def test_split_epi_class_is_surjections(C, carrier):
@@ -114,7 +133,7 @@ def test_conjugates_match_one_cube_per_member_on_a_chain():
 def test_conjugates_keep_each_kernel_pair_at_a_domain(C, carrier):
     # the monic member at 2 comes first in hom order, so one cube per
     # domain rather than per kernel pair would lose the constant's cubes
-    m_class = explicit_class("id+const", [C.identity(2), fin(2, 3, (0, 0))], carrier)
+    m_class = carrier_class("id+const", [C.identity(2), fin(2, 3, (0, 0))], carrier)
     got = conjugates(C, m_class, carrier)
     assert got == oracles.conjugates(C, m_class, carrier)
     assert fin(1, 2, (0,)) in got
@@ -165,6 +184,34 @@ def test_ebullet_of_surj_inj_stays_put(C, carrier, surj_inj):
         assert eb.membership(f).holds == surj_inj.E.membership(f).holds
 
 
+@pytest.mark.parametrize("cat, build, name", [
+    *(pytest.param(FinSetCategory(n), finset_system, name, id=f"finset{n}-{name}")
+      for n in (2, 3) for name in ("surj-inj", "iso-all", "all-iso")),
+    *(pytest.param(ThinCategory.chain(n), thin_system, name, id=f"chain{n}-{name}")
+      for n in (3, 4, 5) for name in ("iso-all", "all-iso"))])
+def test_closure_rules_certify_only_carrier_members(cat, build, name, monkeypatch):
+    # membership on the carrier is read off the member set alone, which is
+    # sound only if no rule certifies a carrier morphism outside it
+    built = []
+    real = classes.carrier_class
+
+    def spy(cls_name, members, carrier, rules=(), monic=False):
+        built.append((cls_name, frozenset(members), rules))
+        return real(cls_name, members, carrier, rules, monic)
+
+    monkeypatch.setattr(classes, "carrier_class", spy)
+    carrier = default_carrier(cat)
+    system = build(cat, name)
+    e_circ(cat, system.E, carrier)
+    e_bullet(cat, system, carrier, m_star(cat, system.M, carrier))
+    assert [n for n, _, _ in built] == [f"({system.E.name})_o", f"({system.M.name})*",
+                                        f"({system.E.name})_bullet"]
+    for cls_name, members, rules in built:
+        for f in carrier.morphisms():
+            for rule in rules:
+                assert f in members or not rule(f).holds, (cls_name, f)
+
+
 def test_subset_search_completeness_is_set_where_classes_are_built(C):
     for name in ("isos", "monos", "epis", "splitEpis", "all", "surjective", "injective"):
         assert builtin_class(C, name).subset_search_complete
@@ -190,13 +237,6 @@ def test_closure_classes_over_a_bounded_stream_stay_inconclusive(C, carrier, sur
     # FinSet's stream stops at max_size, so only e_bullet_facts can decide
     assert not e_circ(C, surj_inj.E, carrier).subset_search_complete
     assert not m_star(C, surj_inj.M, carrier).subset_search_complete
-
-
-def test_union_class(C, carrier):
-    u = union_class("isos+surj",
-                    builtin_class(C, "isos"), builtin_class(C, "surjective"))
-    assert u.membership(fin(2, 1, (0, 0))).holds
-    assert u.membership(fin(1, 2, (0,))).fails
 
 
 def test_thin_systems_validate():

@@ -188,6 +188,14 @@ INPUT_ERRORS = {
        for cmd in ("quotient", "check-allegory", "ebullet", "tabulate", "map-counit")},
     "finset-max-size-4": (["validate", "--category", "finset", "--max-size", "4"],
                           "error: --category finset takes --max-size 0..3, not 4"),
+    "finset-max-size-negative": (["validate", "--category", "finset", "--max-size", "-1"],
+                                 "error: --category finset takes --max-size 0..3, not -1"),
+    **{f"{category}-max-size-negative-{cmd}": (
+        [cmd, "--category", category, "--max-size", "-1"],
+        "error: --max-size takes 0 or more, not -1")
+       for category in ("thin", "fincat") for cmd in ("validate", "check-allegory")},
+    "bound-negative": (["check-allegory", "--category", "finset", "--max-size", "1",
+                        "--bound", "-5"], "error: --bound takes 0 or more, not -5"),
     "replay-missing-file": (["replay", "--file", "{report}.missing"],
                             "parse error: {report}.missing: [Errno 2] No such file"),
     "replay-not-json": (["replay", "--file", "{report}"], "parse error: {report}:2: not JSON"),

@@ -114,3 +114,18 @@ def test_factor_composites_recompose(FC, cats):
             assert FC.compose(m, e) == f
             assert system.E.membership(e).holds
             assert system.M.membership(m).holds
+
+
+def test_every_table_fincat_builds_is_a_category():
+    # FinCat builds its tables without validating them, so each of its
+    # constructions must itself satisfy the category laws
+    fc = FinCatCategory(max_objects=1, max_morphisms=3)
+    objs = list(fc.objects())
+    mors = Carrier(fc, objs).morphisms()
+    tables = objs + [fc.product(c, d).apex for c in objs for d in objs]
+    tables += [fc.pullback(f, g).apex for f in mors for g in mors if f.cod == g.cod]
+    for name in ("bijObj-ff", "surjObj-ffInjObj"):
+        factor = fincat_system(fc, name).factor
+        tables += [factor(f)[0].cod for f in mors]
+    for table in set(tables):
+        assert table.validate() is table
