@@ -314,23 +314,23 @@ def modular_triples(view, a, b, c, budget=None):
                    budget, f"modular triples on ({a!r},{b!r},{c!r})")
 
 
-def allegory_suite(view, objects=None, triple_budget=None, order_triple_budget=None):
+def allegory_suite(view, objects=None, budget=None):
     """Order laws, monotone composition, and both modular laws over all
-    hom-configurations on the given objects. A sweep that a budget cuts
-    gives Unknown, with a reason that names it."""
+    hom-configurations on the given objects. Each sweep is cut to `budget`;
+    a cut sweep gives Unknown, with a reason that names it."""
     objs = view.objects if objects is None else list(objects)
     verdicts = []
     for a, b in itertools.product(objs, repeat=2):
-        v = check_order(view, a, b, triple_budget=order_triple_budget)
+        v = check_order(view, a, b, triple_budget=budget)
         if v.fails:
             return Verdict.no(v.witness, f"order laws fail on hom({a!r},{b!r}): {v.reason}")
         verdicts.append(v)
     for a, b, c in itertools.product(objs, repeat=3):
-        v = check_monotone_composition(view, a, b, c, quad_budget=triple_budget)
+        v = check_monotone_composition(view, a, b, c, quad_budget=budget)
         if v.fails:
             return Verdict.no(v.witness, v.reason)
         verdicts.append(v)
-        triples, cut = modular_triples(view, a, b, c, triple_budget)
+        triples, cut = modular_triples(view, a, b, c, budget)
         v = check_modular_law(view, triples)
         if v.fails:
             return Verdict.no(v.witness, v.reason)
@@ -560,14 +560,7 @@ class MapCategory(Category):
         def mediate(u, v):
             if u.dom != v.dom or u.cod != f.dom or v.cod != g.dom:
                 return None
-            z = view.meet(view.compose(u, view.inv(p1)),
-                          view.compose(v, view.inv(p2)))
-            if not is_map(view, z).verdict.holds:
-                return None
-            if view.equal(view.compose(z, p1), u).holds \
-                    and view.equal(view.compose(z, p2), v).holds:
-                return z
-            return None
+            return _mediator(view, u, v, p1, p2)
 
         return PullbackResult(p1.dom, p1, p2, mediate)
 
@@ -686,22 +679,28 @@ def enumerate_map_relations(mapcat, a, b):
     return found
 
 
+def _mediator(view, u, v, p, q):
+    """The map z with z then p ~ u and z then q ~ v, read off the allegory
+    as (u then p deg) meet (v then q deg), or None when that class is no
+    such map. Where p and q are jointly monic, any such map is this class."""
+    z = view.meet(view.compose(u, view.inv(p)), view.compose(v, view.inv(q)))
+    if not is_map(view, z).verdict.holds:
+        return None
+    if view.equal(view.compose(z, p), u).holds and view.equal(view.compose(z, q), v).holds:
+        return z
+    return None
+
+
 def _map_span_isomorphic(mapcat, s1, s2):
-    """Some iso i of the map category between the apexes has i then h2 ~ h1
-    and i then k2 ~ k1. The apexes may differ: distinct objects can be
-    isomorphic in the map category."""
+    """The mediator i from s1 into s2, the only map with i then h2 ~ h1 and
+    i then k2 ~ k1 as s2 is jointly monic, is an iso of the map category.
+    The apexes may differ: distinct objects can be isomorphic there."""
     h1, k1 = s1
     h2, k2 = s2
     if h1.cod != h2.cod or k1.cod != k2.cod:
         return False
-    view = mapcat.view
-    for i in mapcat.hom(h1.dom, h2.dom):
-        if not mapcat.is_iso(i).holds:
-            continue
-        if view.equal(view.compose(i, h2), h1).holds \
-                and view.equal(view.compose(i, k2), k1).holds:
-            return True
-    return False
+    i = _mediator(mapcat.view, h1, k1, h2, k2)
+    return i is not None and mapcat.is_iso(i).holds
 
 
 def counit(view, h, k):

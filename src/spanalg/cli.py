@@ -192,7 +192,7 @@ class Reporter:
         if FAILS in outcomes:
             return 1
         if UNKNOWN in outcomes:
-            return 2
+            return 3
         return 0
 
     def emit(self, args):
@@ -264,9 +264,7 @@ def cmd_check_allegory(ctx, rep):
     objs = ctx.objects()
     spec = {"objects": len(objs), "seed": ctx.args.seed}
     suite = rep.run("allegory-suite",
-                    lambda: allegory_suite(view, objects=objs,
-                                           triple_budget=ctx.args.bound,
-                                           order_triple_budget=ctx.args.bound), spec)
+                    lambda: allegory_suite(view, objects=objs, budget=ctx.args.bound), spec)
     rep.run("seeded-modular-triples",
             lambda: check_modular_law(view, _seeded_triples(view, ctx.rng, objs, 50)),
             spec)

@@ -45,11 +45,22 @@ def check_functor(f):
     for m in f.dom.mor_ids():
         if f.cod.dom(mmap[m]) != omap[f.dom.dom(m)] or f.cod.cod(mmap[m]) != omap[f.dom.cod(m)]:
             raise ValueError(f"functor maps {m!r} to a morphism with wrong endpoints")
-    for u in f.dom.mor_ids():
-        for v in f.dom.mor_ids():
-            if f.dom.cod(u) == f.dom.dom(v):
-                if mmap[f.dom.compose(v, u)] != f.cod.compose(mmap[v], mmap[u]):
-                    raise ValueError(f"functor does not preserve composite ({v!r},{u!r})")
+    broken = _broken_composite(f.dom, f.cod, mmap)
+    if broken is not None:
+        v, u = broken
+        raise ValueError(f"functor does not preserve composite ({v!r},{u!r})")
+
+
+def _broken_composite(c, d, mmap):
+    """The first composable pair (v, u) of c, u first, whose composite the
+    morphism map sends to something other than the composite of the
+    images in d, or None."""
+    mors = c.mor_ids()
+    for u in mors:
+        for v in mors:
+            if c.cod(u) == c.dom(v) and mmap[c.compose(v, u)] != d.compose(mmap[v], mmap[u]):
+                return v, u
+    return None
 
 
 def enumerate_functors(c, d):
@@ -65,16 +76,7 @@ def enumerate_functors(c, d):
             mmap = dict(zip(non_id, mor_choice))
             for a in c_objs:
                 mmap[c.identity(a)] = d.identity(omap[a])
-            ok = True
-            for u in c_mors:
-                for v in c_mors:
-                    if c.cod(u) == c.dom(v):
-                        if mmap[c.compose(v, u)] != d.compose(mmap[v], mmap[u]):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
+            if _broken_composite(c, d, mmap) is None:
                 result.append(_functor(c, d, omap.items(), mmap.items()))
     return result
 

@@ -211,10 +211,6 @@ class FinSetCategory(Category):
             return Verdict.yes(FinMor(f.cod, f.dom, tuple(inv)), "inverse")
         return Verdict.no(reason="not a bijection")
 
-    def inverse(self, f):
-        v = self.is_iso(f)
-        return v.witness if v.holds else None
-
     def is_effective_retraction(self, r):
         """(r, r'): K => A is a kernel pair of some f iff <r, r'> is
         injective and its image is an equivalence relation on A.

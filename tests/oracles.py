@@ -10,7 +10,9 @@ reference for the cube search of `spanalg.classes.conjugates`.
 `equal`, the reference for the class listing of `AllegoryView.hom`.
 `composition_closure` and `pullback_closure` recompute every member in
 every round, the references for the worklist fixpoint of
-`spanalg.classes`.
+`spanalg.classes`. `map_span_isomorphic` sweeps a map category's hom
+between two apexes for an iso, the reference for the allegory's mediator
+in `spanalg.allegory._map_span_isomorphic`.
 """
 
 import itertools
@@ -136,3 +138,18 @@ def group_by_equal(equiv, spans):
         else:
             reps.append(s)
     return reps, complete
+
+
+def map_span_isomorphic(mapcat, s1, s2):
+    """Some iso i in the map hom between the apexes of the map spans s1 and
+    s2 has i then h2 ~ h1 and i then k2 ~ k1."""
+    h1, k1 = s1
+    h2, k2 = s2
+    if h1.cod != h2.cod or k1.cod != k2.cod:
+        return False
+    view = mapcat.view
+    for i in mapcat.hom(h1.dom, h2.dom):
+        if mapcat.is_iso(i).holds and view.equal(view.compose(i, h2), h1).holds \
+                and view.equal(view.compose(i, k2), k1).holds:
+            return True
+    return False

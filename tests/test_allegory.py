@@ -11,9 +11,14 @@ from spanalg import (FinSetCategory, Span, TabulationFailed, ThinCategory, alleg
                      effective_retraction_sample, fin, find_unit, graph, is_cover, is_map,
                      is_mono_map, make_equivalence, map_category, named_system,
                      relation_span, tabulate)
-from spanalg.allegory import AllegoryView, check_m_self_tabulation, counit_check
+from spanalg import allegory, cli
+from spanalg.allegory import (AllegoryView, MapCategory, check_m_self_tabulation,
+                              check_monotone_composition, counit_check,
+                              enumerate_map_relations, jointly_monic, modular_triples)
 from spanalg.classes import e_bullet, e_circ, m_star
+from spanalg.spans import relation_spans
 from spanalg.systems import default_carrier
+from spanalg.verdict import Verdict
 
 import oracles
 
@@ -56,12 +61,24 @@ def test_check_order_is_unknown_when_the_bound_cuts_its_triples():
     (None, None, None),
 ])
 def test_suite_names_the_sweep_a_budget_cuts(small_view, budget, order_budget, reason):
-    v = allegory_suite(small_view, objects=[1, 2], triple_budget=budget,
-                       order_triple_budget=order_budget)
+    # the suite gives every sweep one budget, so the order triples of
+    # hom(1,1) are cut first; each sweep is called here with its own budget
+    triples, cut = modular_triples(small_view, 1, 1, 2, budget)
+    verdicts = [check_order(small_view, 1, 1, triple_budget=order_budget),
+                check_monotone_composition(small_view, 1, 1, 2, quad_budget=budget),
+                Verdict.maybe(reason=cut) if cut else check_modular_law(small_view, triples)]
     if reason is None:
-        assert v.holds
+        assert all(v.holds for v in verdicts)
+        assert allegory_suite(small_view, objects=[1, 2]).holds
     else:
-        assert v.unknown and v.reason == reason
+        first = next(v for v in verdicts if not v.holds)
+        assert first.unknown and first.reason == reason
+
+
+def test_one_budget_cuts_the_suite_at_its_first_sweep(small_view):
+    v = allegory_suite(small_view, objects=[1, 2], budget=8)
+    assert v.unknown
+    assert v.reason == "associativity triples on hom(1,2) cut at the bound (8 of 64)"
 
 
 def test_order_idempotence_fails_for_iso_all(C, iso_all):
@@ -266,6 +283,72 @@ def test_counit_unknown_when_a_class_hom_is_incomplete(C, surj_inj):
     v = counit_check(view, surj_inj, 2, 1, apexes=range(3))
     assert v.unknown
     assert v.reason == "counit image count mismatch on an incomplete hom enumeration"
+
+
+@pytest.mark.parametrize("argv, merges", [
+    (["--category", "finset", "--max-size", "2", "--system", "surj-inj",
+      "--relation", "simE"], True),
+    (["--category", "finset", "--max-size", "2", "--system", "iso-all",
+      "--relation", "simEbullet"], True),
+    (["--category", "finset", "--max-size", "2", "--system", "all-iso",
+      "--relation", "simE"], True),
+    # a chain has no iso but the identities, so no two map spans merge
+    (["--category", "thin", "--max-size", "3", "--system", "iso-all",
+      "--relation", "simE"], False),
+])
+def test_map_relations_match_the_hom_sweep_oracle(argv, merges, monkeypatch):
+    # the mediator keeps the same relations over maps, in the same order, as
+    # sweeping the map hom between the apexes for an iso
+    ctx = cli.Context(cli.build_parser().parse_args(["map-counit"] + argv))
+    view, objs = ctx.view(), ctx.objects()
+    isomorphic = []
+
+    def oracle(mapcat, s1, s2):
+        isomorphic.append(oracles.map_span_isomorphic(mapcat, s1, s2))
+        return isomorphic[-1]
+
+    for a, b in itertools.product(objs, repeat=2):
+        apexes = list(dict.fromkeys(objs + [s.apex for s in relation_spans(ctx.cat, a, b)]))
+        got = enumerate_map_relations(map_category(view, ctx.system, apexes), a, b)
+        with monkeypatch.context() as m:
+            m.setattr(allegory, "_map_span_isomorphic", oracle)
+            want = enumerate_map_relations(map_category(view, ctx.system, apexes), a, b)
+        assert got == want, (a, b)
+    assert isomorphic and any(isomorphic) == merges
+
+
+@pytest.mark.parametrize("system, relation", [
+    ("surj-inj", "simE"), ("iso-all", "simEbullet"), ("iso-all", "simE")])
+def test_map_span_isomorphic_matches_the_hom_sweep_oracle(system, relation):
+    # every ordered pair of jointly monic map spans over apexes 0..3, both
+    # ways round: a mediator that is a mono but no iso must not merge them
+    ctx = cli.Context(cli.build_parser().parse_args(
+        ["map-counit", "--max-size", "2", "--system", system, "--relation", relation]))
+    view = ctx.view()
+    mc = map_category(view, ctx.system, range(4))
+    outcomes = set()
+    for a, b in itertools.product(range(3), repeat=2):
+        spans = [(h, k) for w in range(4) for h in mc.hom(w, a) for k in mc.hom(w, b)
+                 if jointly_monic(view, h, k).holds]
+        for s1, s2 in itertools.product(spans, repeat=2):
+            got = allegory._map_span_isomorphic(mc, s1, s2)
+            assert got == oracles.map_span_isomorphic(mc, s1, s2), (s1, s2)
+            outcomes.add(got)
+    assert outcomes == {True, False} if relation == "simE" else {True}
+
+
+def test_counit_lists_no_map_hom_between_apexes(small_view, surj_inj, monkeypatch):
+    asked = set()
+    hom = MapCategory.hom
+
+    def recording_hom(self, a, b):
+        asked.add((a, b))
+        return hom(self, a, b)
+
+    monkeypatch.setattr(MapCategory, "hom", recording_hom)
+    v = counit_check(small_view, surj_inj, 2, 2, apexes=range(5))
+    assert v.holds and v.reason == "bijection on 16 classes"
+    assert asked == {(w, 2) for w in range(5)}
 
 
 # -- interning ---------------------------------------------------------------------

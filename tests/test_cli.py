@@ -32,7 +32,7 @@ def test_check_allegory_surj_inj(capsys):
 
 def test_bound_cuts_the_order_triples(capsys):
     code = run(["check-allegory", "--max-size", "1", "--bound", "3", "--format", "json"])
-    assert code == 2
+    assert code == 3
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     suite = {l["check"]: l for l in lines}["allegory-suite"]
     assert suite["verdict"] == "Unknown"

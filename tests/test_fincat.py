@@ -6,7 +6,7 @@ from spanalg import FinCatCategory, enumerate_categories, make_functor
 from spanalg.fincat import check_functor, enumerate_functors
 from spanalg.systems import fincat_system, validate_system
 from spanalg.classes import Carrier
-from spanalg.tablecat import discrete, one_object, walking_arrow
+from spanalg.tablecat import discrete, make_table, one_object, walking_arrow
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,17 @@ def test_functor_validation():
         make_functor(w, t, {0: 0, 1: 0}, {"i0": "i", "i1": "i"})  # misses "a"
     f = make_functor(w, t, {0: 0, 1: 0}, {"i0": "i", "i1": "i", "a": "i"})
     check_functor(f)  # raises on violation
+
+
+def test_functors_preserve_composites():
+    # one object each: e idempotent, and z its own inverse
+    idem = make_table([0], [("i", 0, 0), ("e", 0, 0)], {0: "i"}, {("e", "e"): "e"})
+    flip = make_table([0], [("i", 0, 0), ("z", 0, 0)], {0: "i"}, {("z", "z"): "i"})
+    with pytest.raises(ValueError, match=r"does not preserve composite \('e','e'\)"):
+        make_functor(idem, flip, {0: 0}, {"i": "i", "e": "z"})
+    assert [dict(f.mmap)["e"] for f in enumerate_functors(idem, flip)] == ["i"]
+    assert [dict(f.mmap)["z"] for f in enumerate_functors(flip, idem)] == ["i"]
+    assert len(enumerate_functors(idem, idem)) == len(enumerate_functors(flip, flip)) == 2
 
 
 def test_composition_and_identity(FC):
