@@ -32,6 +32,9 @@ class Carrier:
                                for f in self.category.hom(a, b)]
         return self._morphisms
 
+    def contains_object(self, x):
+        return x in self._obj_set
+
     def contains_endpoints(self, f):
         return f.dom in self._obj_set and f.cod in self._obj_set
 
@@ -235,7 +238,16 @@ def conjugates(cat, m_class, carrier):
     shipped instances choose that front face from the kernel pair alone
     (FinSet lists the equalised pairs, thin has one arrow per hom, FinCat
     takes the sub-product of matching pairs), so there the set itself is
-    the same as with one cube per member."""
+    the same as with one cube per member.
+
+    Two prunes skip work without changing the set:
+    - a conjugate has the back apex pullback(f, s) as its domain, so when
+      that apex is not a carrier object every conjugate on that back face
+      falls outside the carrier and none is kept;
+    - when the representative m is the identity of B, m.f = f and m.s = s,
+      so the chosen front face is the back face itself, and the mediator
+      is taken into it with no compose and no second pullback. Under a
+      monic M every representative is the identity."""
     out = set()
     mors = carrier.morphisms()
     m_members = [m for m in mors if m_class.membership(m).holds]
@@ -246,7 +258,8 @@ def conjugates(cat, m_class, carrier):
             if cat.compose(r, s) == ident:
                 out.add(s)
     # raw cube enumeration: m: B -> Z in M, f: A -> B, s: T -> B; the back
-    # face pullback(f, s) does not depend on m, so it is built once per (f, s)
+    # face pullback(f, s) does not depend on m, so it is built once per
+    # (f, s); None stands for m.f where m is the identity
     by_kernel = {}
     for m in m_members:
         kp = cat.kernel_pair(m)
@@ -255,13 +268,18 @@ def conjugates(cat, m_class, carrier):
     for m in by_kernel.values():
         by_dom.setdefault(m.dom, []).append(m)
     for b, ms_at_b in by_dom.items():
+        ident = cat.identity(b)
         into_b = [f for f in mors if f.cod == b]
-        after = [[cat.compose(m, f) for m in ms_at_b] for f in into_b]
+        after = [[None if m == ident else cat.compose(m, f) for m in ms_at_b]
+                 for f in into_b]
         for f, mfs in zip(into_b, after):
             for s, mss in zip(into_b, after):
                 back = cat.pullback(f, s)
+                if not carrier.contains_object(back.apex):
+                    continue
                 for mf, ms in zip(mfs, mss):
-                    conj = cat.pullback(mf, ms).mediate(back.p1, back.p2)
+                    front = back if mf is None else cat.pullback(mf, ms)
+                    conj = front.mediate(back.p1, back.p2)
                     if conj is not None and carrier.contains_endpoints(conj):
                         out.add(conj)
     return out

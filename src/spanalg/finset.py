@@ -86,7 +86,7 @@ class FinSetCategory(Category):
 
     def compose(self, g, f):
         self._check_composable(g, f)
-        return FinMor(f.dom, g.cod, tuple(g.table[y] for y in f.table))
+        return FinMor(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
     # -- limits -----------------------------------------------------------
 
@@ -114,19 +114,22 @@ class FinSetCategory(Category):
 
     def pullback(self, f, g):
         self._check_cospan(f, g)
-        pairs = [(x, y) for x in range(f.dom) for y in range(g.dom)
-                 if f.table[x] == g.table[y]]
+        pairs = [(x, y) for x, fx in enumerate(f.table)
+                 for y, gy in enumerate(g.table) if fx == gy]
         apex = len(pairs)
-        index = {p: i for i, p in enumerate(pairs)}
-        p1 = FinMor(apex, f.dom, tuple(x for x, _ in pairs))
-        p2 = FinMor(apex, g.dom, tuple(y for _, y in pairs))
+        xs, ys = zip(*pairs) if pairs else ((), ())
+        p1 = FinMor(apex, f.dom, xs)
+        p2 = FinMor(apex, g.dom, ys)
+        index = {}  # pair -> its place in the apex, built on the first mediate
 
         def mediate(u, v):
             if u.dom != v.dom or u.cod != f.dom or v.cod != g.dom:
                 return None
+            if not index:
+                index.update((p, i) for i, p in enumerate(pairs))
             try:
-                return FinMor(u.dom, apex,
-                              tuple(index[(u.table[w], v.table[w])] for w in range(u.dom)))
+                return FinMor(u.dom, apex, tuple(map(index.__getitem__,
+                                                     zip(u.table, v.table))))
             except KeyError:
                 return None
 

@@ -160,36 +160,39 @@ def validate_system(system, carrier):
 def _check_uniqueness(system, carrier):
     """Any two (E,M)-factorizations of the same morphism are linked by an
     iso; checked against alternative factorizations found by hom search.
-    The E-members out of each domain and the M-members into each codomain
-    are listed once per pair of objects, in hom order."""
+    The E-members out of each domain, the M-members into each codomain and
+    the isos between each pair of objects are listed once per pair, in hom
+    order. Each candidate pair (e2, m2) through a carrier object is composed
+    once per (dom, cod) and filed under its composite, in (mid, e2, m2)
+    order, so each morphism walks only its own factorizations."""
     cat = system.category
-    e_homs, m_homs = {}, {}
+    e_homs, m_homs, iso_homs, by_composite = {}, {}, {}, {}
 
-    def members(cache, cls, a, b):
+    def members(cache, test, a, b):
         if (a, b) not in cache:
-            cache[a, b] = [g for g in cat.hom(a, b) if cls.membership(g).holds]
+            cache[a, b] = [g for g in cat.hom(a, b) if test(g).holds]
         return cache[a, b]
+
+    def factorizations(a, b):
+        if (a, b) not in by_composite:
+            found = by_composite[a, b] = {}
+            for mid in carrier.objects:
+                for e2 in members(e_homs, system.E.membership, a, mid):
+                    for m2 in members(m_homs, system.M.membership, mid, b):
+                        found.setdefault(cat.compose(m2, e2), []).append((e2, m2))
+        return by_composite[a, b]
+
+    def linked_by_iso(e, m, e2, m2):
+        return any(cat.compose(j, e) == e2 and cat.compose(m2, j) == m
+                   for j in members(iso_homs, cat.is_iso, e.cod, e2.cod))
 
     for f in carrier.morphisms():
         e, m = system.factor(f)
-        for mid in carrier.objects:
-            for e2 in members(e_homs, system.E, f.dom, mid):
-                for m2 in members(m_homs, system.M, mid, f.cod):
-                    if cat.compose(m2, e2) != f:
-                        continue
-                    if not _linked_by_iso(cat, e, m, e2, m2):
-                        return Verdict.no({"f": f, "alt": (e2, m2)},
-                                          "two factorizations not iso-linked")
+        for e2, m2 in factorizations(f.dom, f.cod).get(f, ()):
+            if not linked_by_iso(e, m, e2, m2):
+                return Verdict.no({"f": f, "alt": (e2, m2)},
+                                  "two factorizations not iso-linked")
     return Verdict.yes()
-
-
-def _linked_by_iso(cat, e, m, e2, m2):
-    for j in cat.hom(e.cod, e2.cod):
-        if not cat.is_iso(j).holds:
-            continue
-        if cat.compose(j, e) == e2 and cat.compose(m2, j) == m:
-            return True
-    return False
 
 
 def default_carrier(cat):

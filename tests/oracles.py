@@ -12,10 +12,14 @@ reference for the cube search of `spanalg.classes.conjugates`.
 every round, the references for the worklist fixpoint of
 `spanalg.classes`. `map_span_isomorphic` sweeps a map category's hom
 between two apexes for an iso, the reference for the allegory's mediator
-in `spanalg.allegory._map_span_isomorphic`.
+in `spanalg.allegory._map_span_isomorphic`. `check_uniqueness` recomposes
+every candidate factorization for each morphism and tests every member of
+a hom for an iso, the reference for `spanalg.systems._check_uniqueness`.
 """
 
 import itertools
+
+from spanalg.verdict import Verdict
 
 
 def all_relations(a, b):
@@ -153,3 +157,27 @@ def map_span_isomorphic(mapcat, s1, s2):
                 and view.equal(view.compose(i, k2), k1).holds:
             return True
     return False
+
+
+def check_uniqueness(system, carrier):
+    """Per morphism f, every (e2, m2) through a carrier object with
+    m2.e2 = f, in (mid, e2, m2) order, is linked to f's own factorization
+    by an iso j (j.e = e2, m2.j = m); Fails with the first that is not."""
+    cat = system.category
+
+    def linked(e, m, e2, m2):
+        return any(cat.is_iso(j).holds and cat.compose(j, e) == e2
+                   and cat.compose(m2, j) == m for j in cat.hom(e.cod, e2.cod))
+
+    for f in carrier.morphisms():
+        e, m = system.factor(f)
+        for mid in carrier.objects:
+            for e2 in cat.hom(f.dom, mid):
+                if not system.E.membership(e2).holds:
+                    continue
+                for m2 in cat.hom(mid, f.cod):
+                    if system.M.membership(m2).holds and cat.compose(m2, e2) == f \
+                            and not linked(e, m, e2, m2):
+                        return Verdict.no({"f": f, "alt": (e2, m2)},
+                                          "two factorizations not iso-linked")
+    return Verdict.yes()
