@@ -103,12 +103,12 @@ def carrier_class(name, members, carrier, rules=(), monic=False):
     """
     cat = carrier.category
     members = frozenset(members)
+    # the carrier verdicts, built once: a Verdict is frozen, and these hold no witness
+    held, refuted = Verdict.yes(), Verdict.no(reason=f"not in {name} (bound-relative)")
 
     def membership(f):
         if carrier.contains_endpoints(f):
-            if f in members:
-                return Verdict.yes()
-            return Verdict.no(reason=f"not in {name} (bound-relative)")
+            return held if f in members else refuted
         for rule in rules:
             v = rule(f)
             if v.holds:
@@ -240,14 +240,23 @@ def conjugates(cat, m_class, carrier):
     takes the sub-product of matching pairs), so there the set itself is
     the same as with one cube per member.
 
-    Two prunes skip work without changing the set:
-    - a conjugate has the back apex pullback(f, s) as its domain, so when
-      that apex is not a carrier object every conjugate on that back face
-      falls outside the carrier and none is kept;
-    - when the representative m is the identity of B, m.f = f and m.s = s,
-      so the chosen front face is the back face itself, and the mediator
-      is taken into it with no compose and no second pullback. Under a
-      monic M every representative is the identity."""
+    The conjugate of a cube is the mediator from the back face
+    pullback(f, s) into the front face, so its domain is the back apex and
+    its codomain the front apex. Every returned morphism therefore has
+    carrier endpoints: a section lies in a carrier hom, and a cube whose
+    back or front apex is not a carrier object is skipped. Each prune
+    below drops only work whose conjugate is dropped or already found:
+    - When M holds the identity of every carrier object, the cubes of
+      identity representatives are not run. For m = 1_B the front face is
+      the back face, so the mediator is the identity of the back apex; if
+      that apex is a carrier object, its identity is a section of an
+      identity in M, which the sections already hold. Under a monic M
+      every representative is an identity, so no cube runs. Without that
+      guard an identity representative runs its cube like any other.
+    - Each front face is built once per (m.f, m.s), whatever (m, f, s)
+      gives it, and its apex is tested before the back face is built.
+    - The back face does not depend on m, so it is built at most once per
+      (f, s), and only when some front apex is a carrier object."""
     out = set()
     mors = carrier.morphisms()
     m_members = [m for m in mors if m_class.membership(m).holds]
@@ -257,37 +266,56 @@ def conjugates(cat, m_class, carrier):
         for s in cat.hom(r.cod, r.dom):
             if cat.compose(r, s) == ident:
                 out.add(s)
-    # raw cube enumeration: m: B -> Z in M, f: A -> B, s: T -> B; the back
-    # face pullback(f, s) does not depend on m, so it is built once per
-    # (f, s); None stands for m.f where m is the identity
+    # raw cube enumeration: m: B -> Z in M, f: A -> B, s: T -> B
     by_kernel = {}
     for m in m_members:
         kp = cat.kernel_pair(m)
         by_kernel.setdefault((kp.p1, kp.p2), m)
+    reps = by_kernel.values()
+    if set(m_members).issuperset(map(cat.identity, carrier.objects)):
+        reps = [m for m in reps if m != cat.identity(m.dom)]
     by_dom = {}
-    for m in by_kernel.values():
+    for m in reps:
         by_dom.setdefault(m.dom, []).append(m)
+    # m.f by its index into `composites`; the front faces by the index
+    # pair of (m.f, m.s)
+    index, composites, fronts = {}, [], {}
     for b, ms_at_b in by_dom.items():
-        ident = cat.identity(b)
         into_b = [f for f in mors if f.cod == b]
-        after = [[None if m == ident else cat.compose(m, f) for m in ms_at_b]
-                 for f in into_b]
+        after = []
+        for f in into_b:
+            row = []
+            for m in ms_at_b:
+                mf = cat.compose(m, f)
+                i = index.get(mf)
+                if i is None:
+                    i = index[mf] = len(composites)
+                    composites.append(mf)
+                row.append(i)
+            after.append(row)
         for f, mfs in zip(into_b, after):
             for s, mss in zip(into_b, after):
-                back = cat.pullback(f, s)
-                if not carrier.contains_object(back.apex):
-                    continue
-                for mf, ms in zip(mfs, mss):
-                    front = back if mf is None else cat.pullback(mf, ms)
+                back = None
+                for i, j in zip(mfs, mss):
+                    front = fronts.get((i, j))
+                    if front is None:
+                        front = fronts[i, j] = cat.pullback(composites[i], composites[j])
+                    if not carrier.contains_object(front.apex):
+                        continue
+                    if back is None:
+                        back = cat.pullback(f, s)
+                        if not carrier.contains_object(back.apex):
+                            break
                     conj = front.mediate(back.p1, back.p2)
-                    if conj is not None and carrier.contains_endpoints(conj):
+                    if conj is not None:
                         out.add(conj)
     return out
 
 
 def m_star(cat, m_class, carrier):
     """Closure under pullback of the conjugate class, to fixpoint on the
-    carrier. No step composes members with isos: the pullback legs along
+    carrier. Every conjugate already has carrier endpoints, so none is
+    filtered. No step composes members with isos: the pullback legs along
     the carrier isos already absorb the choice of pullback (the tests
     compare this closure with one that does compose with isos)."""
     mors = carrier.morphisms()
@@ -299,8 +327,8 @@ def m_star(cat, m_class, carrier):
                 if carrier.contains_endpoints(leg):
                     yield leg
 
-    conj = [c for c in conjugates(cat, m_class, carrier) if carrier.contains_endpoints(c)]
-    return carrier_class(f"({m_class.name})*", _close(conj, pull_back), carrier)
+    return carrier_class(f"({m_class.name})*",
+                         _close(conjugates(cat, m_class, carrier), pull_back), carrier)
 
 
 def e_bullet(cat, system, carrier, mstar):

@@ -306,6 +306,7 @@ def cmd_ebullet(ctx, rep):
         objs = ctx.objects()
         hom_cache = {}
         checked = 0
+        undecided = None
         for _ in range(200):
             a, b = ctx.rng.choice(objs), ctx.rng.choice(objs)
             spans = hom_cache.get((a, b))
@@ -316,8 +317,14 @@ def cmd_ebullet(ctx, rep):
             s1, s2 = ctx.rng.choice(spans), ctx.rng.choice(spans)
             if eqO.equal(s1, s2).holds:
                 checked += 1
-                if not eqB.equal(s1, s2).holds:
+                v = eqB.equal(s1, s2)
+                if v.fails:
                     return Verdict.no((s1, s2), "related under E-circ but not E-bullet")
+                if v.unknown and undecided is None:
+                    undecided = (s1, s2)
+        if undecided is not None:
+            return Verdict.maybe(f"E-bullet undecided on the related pair {undecided[0]!r}, "
+                                 f"{undecided[1]!r}")
         return Verdict.yes(reason=f"{checked} related pairs re-verified")
 
     rep.run("ecirc-included-in-ebullet", inclusion, spec)

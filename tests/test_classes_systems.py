@@ -152,13 +152,37 @@ def test_conjugates_keep_each_kernel_pair_at_a_domain(C, carrier):
     [fin(2, 3, (0, 1)), fin(2, 3, (0, 0))],
     # ... and alone only those cubes give the identities of 0, 1 and 3
     [fin(2, 3, (0, 1))],
-    # only the identity's cubes give them, mediated into the back face
+    # only the identity's cubes give them, whose front face is the back face
     [fin(2, 2, (0, 1))],
     # an endomorphism that is no identity needs its own front face
-    [fin(2, 2, (0, 0))]], ids=["incl-id-const", "incl-const", "incl", "id", "const-endo"])
+    [fin(2, 2, (0, 0))],
+    # every carrier identity is in M, so the identity cubes are skipped,
+    # while the constant still represents its own kernel pair at 2
+    [fin(x, x, tuple(range(x))) for x in range(4)] + [fin(2, 3, (0, 0))],
+    # the swap comes first at 2, and only the constant's own front faces,
+    # the products, give the inclusions of the back apexes
+    [fin(2, 2, (1, 0)), fin(2, 3, (0, 0))]],
+    ids=["incl-id-const", "incl-const", "incl", "id", "const-endo", "ids-const", "swap-const"])
 def test_conjugates_where_a_front_face_could_be_skipped(C, carrier, members):
     m_class = carrier_class("M", members, carrier)
     assert conjugates(C, m_class, carrier) == oracles.conjugates(C, m_class, carrier)
+
+
+_FINSET_CARRIERS = {n: default_carrier(FinSetCategory(n)) for n in (2, 3)}
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_conjugates_match_one_cube_per_member_on_drawn_classes(data):
+    # half of the drawn classes hold every carrier identity, which turns the
+    # identity cubes off; the rest keep them
+    carrier = _FINSET_CARRIERS[data.draw(st.sampled_from((2, 3)))]
+    cat = carrier.category
+    members = data.draw(st.sets(st.sampled_from(carrier.morphisms()), max_size=3))
+    if data.draw(st.booleans()):
+        members |= {cat.identity(x) for x in carrier.objects}
+    m_class = carrier_class("M", members, carrier)
+    assert conjugates(cat, m_class, carrier) == oracles.conjugates(cat, m_class, carrier)
 
 
 class _CountingFinSet(FinSetCategory):
@@ -176,13 +200,13 @@ class _CountingFinSet(FinSetCategory):
         return super().compose(g, f)
 
 
-@pytest.mark.parametrize("name, most", [("surj-inj", 1866), ("iso-all", 7475),
-                                        ("all-iso", 1852)])
+@pytest.mark.parametrize("name, most", [("surj-inj", 24), ("iso-all", 1484),
+                                        ("all-iso", 10)])
 def test_conjugates_run_one_cube_per_kernel_pair(name, most):
-    # one cube per member of M made 13,342, 62,692 and 11,909 pullbacks;
-    # one per kernel pair made 3,708, 10,369 and 3,694 while it still built
-    # the cubes on back apexes beyond the carrier and a front face for the
-    # identity representative
+    # one cube per member of M made 13,342, 62,692 and 11,909 pullbacks.
+    # M holds every carrier identity in all three systems, so no identity
+    # cube runs: surj-inj and all-iso make only the kernel pairs of M, 24
+    # and 10, and iso-all builds each front face once per (m.f, m.s)
     cat = _CountingFinSet(3)
     conjugates(cat, finset_system(cat, name).M, default_carrier(cat))
     assert cat.pullbacks <= most

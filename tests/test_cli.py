@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import spanalg
+from spanalg import cli
 from spanalg.cli import main
+from spanalg.verdict import Verdict
 
 
 def run(argv):
@@ -94,6 +96,48 @@ def test_map_counit_checks_the_thin_counit(capsys):
 def test_ebullet_surj_inj_stays_put(capsys):
     # repairing a mono-M system changes nothing; the inclusion check holds
     assert run(["ebullet", "--system", "surj-inj", "--max-size", "2"]) == 0
+
+
+class _ScriptedEbullet:
+    """Stands in for simEbullet: answers `equal` from a script, then
+    Unknown, and records the pairs it was asked about."""
+
+    def __init__(self, *answers):
+        self.answers = iter(answers)
+        self.pairs = []
+
+    def equal(self, s1, s2):
+        self.pairs.append((s1, s2))
+        return next(self.answers, Verdict.maybe("undecided"))
+
+
+def _ebullet_with(monkeypatch, capsys, eqb):
+    real = cli.make_equivalence
+    monkeypatch.setattr(cli, "make_equivalence", lambda cat, name, **kw:
+                        eqb if name == "simEbullet" else real(cat, name, **kw))
+    code = run(["ebullet", "--system", "iso-all", "--max-size", "2", "--format", "json"])
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    return code, {l["check"]: l for l in lines}["ecirc-included-in-ebullet"]
+
+
+def test_ebullet_inclusion_is_unknown_where_ebullet_is_undecided(monkeypatch, capsys):
+    eqb = _ScriptedEbullet()
+    code, line = _ebullet_with(monkeypatch, capsys, eqb)
+    assert code == 3
+    assert line["verdict"] == "Unknown"
+    s1, s2 = eqb.pairs[0]
+    assert line["reason"] == f"E-bullet undecided on the related pair {s1!r}, {s2!r}"
+    # the walk went on looking for a refutation
+    assert len(eqb.pairs) > 1
+
+
+def test_ebullet_inclusion_fails_on_a_refutation_after_an_undecided_pair(monkeypatch, capsys):
+    eqb = _ScriptedEbullet(Verdict.maybe("undecided"), Verdict.yes(), Verdict.no())
+    code, line = _ebullet_with(monkeypatch, capsys, eqb)
+    assert code == 1
+    assert line["verdict"] == "Fails"
+    assert line["reason"] == "related under E-circ but not E-bullet"
+    assert len(eqb.pairs) == 3
 
 
 def test_quotient_and_tabulate(capsys):

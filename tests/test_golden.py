@@ -26,6 +26,12 @@ COMMANDS = {
                                                  "simEbullet", "--max-size", "2"],
     "finset-ebullet-iso-all": ["ebullet", "--category", "finset", "--system", "iso-all",
                                "--max-size", "2"],
+    "finset-ebullet-surj-inj-3": ["ebullet", "--category", "finset", "--system", "surj-inj",
+                                  "--max-size", "3"],
+    "finset-ebullet-iso-all-3": ["ebullet", "--category", "finset", "--system", "iso-all",
+                                 "--max-size", "3"],
+    "finset-ebullet-all-iso-3": ["ebullet", "--category", "finset", "--system", "all-iso",
+                                 "--max-size", "3"],
     "finset-map-counit": ["map-counit", "--category", "finset", "--max-size", "1"],
     "finset-map-counit-2": ["map-counit", "--category", "finset", "--max-size", "2"],
     "finset-map-counit-iso-all-simEbullet": ["map-counit", "--category", "finset",
