@@ -6,8 +6,8 @@ from .allegory import (AllegoryView, MapWitness, Tabulation, UnitWitness,
                        allegory_suite, check_allegorical_criterion,
                        check_allegorical_relation, check_gamma_pullback_preservation,
                        check_modular_law, check_order, check_special_modular_law,
-                       counit, counit_check, effective_retraction_sample, find_unit,
-                       is_cover, is_map, is_mono_map, map_category, tabulate)
+                       counit, counit_check, find_unit, is_cover, is_map,
+                       is_mono_map, map_category, tabulate)
 from .category import Category, ProductResult, PullbackResult, check_associativity
 from .classes import (Carrier, MorClass, builtin_class, carrier_class,
                       check_splitepi_mono_agreement, composition_closure, conjugates,

@@ -17,7 +17,7 @@ from .category import Category, PullbackResult
 from .errors import EnumerationUnavailable, LimitUnavailable, NoTerminal, TabulationFailed
 from .spans import (Span, enumerate_hom_classes, graph, identity_span, involution,
                     span_compose, span_meet)
-from .verdict import Verdict, combine
+from .verdict import FAILS, HOLDS, UNKNOWN, Verdict, combine
 
 
 # -- the quotient view ---------------------------------------------------------
@@ -207,11 +207,18 @@ def _cut(verdict, reason):
     return Verdict.maybe(reason=reason) if verdict.holds and reason else verdict
 
 
+def _undecided(verdict, undecided, a, b):
+    """Unknown, not Holds, when an order comparison on hom(a, b) that the
+    law rests on was left undecided."""
+    return _cut(verdict, undecided and f"order comparison undecided on hom({a!r},{b!r})")
+
+
 def check_order(view, a, b, triple_budget=None):
     """Meet laws on hom(a, b): idempotence, commutativity, associativity,
     greatest-lower-bound for the derived order, and involution
     preserving meets. Unknown, not Holds, when `triple_budget` cuts the
-    associativity triples."""
+    associativity triples or an order comparison is undecided; Fails on
+    the greatest lower bound only where decided comparisons refute it."""
     reps, complete = view.hom(a, b)
     if not reps:
         raise EnumerationUnavailable(f"no enumerable classes {a!r} -> {b!r}")
@@ -233,32 +240,44 @@ def check_order(view, a, b, triple_budget=None):
         verdicts.append(v)
     triples, cut = _within(itertools.product(reps, repeat=3), len(reps) ** 3,
                            triple_budget, f"associativity triples on hom({a!r},{b!r})")
+    undecided = False
     for r, s, t in triples:
         v = view.equal(view.meet(view.meet(r, s), t), view.meet(r, view.meet(s, t)))
         if v.fails:
             return Verdict.no((r, s, t), "meet not associative")
         verdicts.append(v)
-        below_both = view.leq(t, r).holds and view.leq(t, s).holds
-        below_meet = view.leq(t, view.meet(r, s)).holds
-        if below_both != below_meet:
+        # t <= r and t <= s against t <= r meet s, in three values
+        below_both = view.leq(t, r).outcome
+        if below_both != FAILS:
+            below_s = view.leq(t, s).outcome
+            if below_both == HOLDS or below_s == FAILS:
+                below_both = below_s
+        below_meet = view.leq(t, view.meet(r, s)).outcome
+        if below_both == UNKNOWN or below_meet == UNKNOWN:
+            undecided = True
+        elif below_both != below_meet:
             return Verdict.no((r, s, t), "meet is not a greatest lower bound")
     out = combine(verdicts)
     if out.holds and not complete:
         return Verdict.maybe(reason=f"hom({a!r},{b!r}) enumeration incomplete")
-    return _cut(out, cut)
+    return _undecided(_cut(out, cut), undecided, a, b)
 
 
 def check_monotone_composition(view, a, b, c, quad_budget=None):
     """r <= r' implies (r then s) <= (r' then s), and on the other side.
-    Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads."""
+    Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads or
+    some r <= r' is undecided."""
     ab, _ = view.hom(a, b)
     bc, _ = view.hom(b, c)
     quads, cut = _within(((r, r2, s) for r in ab for r2 in ab for s in bc),
                          len(ab) ** 2 * len(bc), quad_budget,
                          f"monotone-composition quads on ({a!r},{b!r},{c!r})")
     verdicts = []
+    undecided = False
     for r, r2, s in quads:
-        if not view.leq(r, r2).holds:
+        below = view.leq(r, r2).outcome
+        if below != HOLDS:
+            undecided = undecided or below == UNKNOWN
             continue
         v = view.leq(view.compose(r, s), view.compose(r2, s))
         if v.fails:
@@ -270,7 +289,7 @@ def check_monotone_composition(view, a, b, c, quad_budget=None):
             return Verdict.no((r, r2, s), "composition not monotone on the right")
         verdicts.append(w)
     out = combine(verdicts) if verdicts else Verdict.yes(reason="no comparable pairs")
-    return _cut(out, cut)
+    return _undecided(_cut(out, cut), undecided, a, b)
 
 
 def check_modular_law(view, triples):
@@ -358,20 +377,6 @@ def check_allegorical_relation(cat, equiv, sample):
     return combine(verdicts)
 
 
-def effective_retraction_sample(cat, morphisms):
-    """Kernel-pair first legs of the given morphisms: every kernel pair
-    (r, r') exhibits r as an effective retraction, and every effective
-    retraction arises this way."""
-    out = []
-    seen = set()
-    for f in morphisms:
-        r = cat.kernel_pair(f).p1
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
 def _criterion_candidates(cat, r, probes, budget):
     """Candidate z-streams for the retraction criterion: identity and a
     section of r first (they settle the common systems immediately), then
@@ -394,9 +399,14 @@ def _criterion_candidates(cat, r, probes, budget):
             yield z, False
 
 
-def check_allegorical_criterion(cat, e_class, sample, probe_objects=None, budget=4096):
-    """For every sampled effective retraction r, search z in E with the
-    composite r after z also in E.
+def check_allegorical_criterion(cat, e_class, morphisms, probe_objects=None, budget=4096):
+    """For every effective retraction r read off the given morphisms,
+    search z in E with the composite r after z also in E.
+
+    The retractions are the first legs r of the kernel pairs (r, r') of
+    the morphisms, each once, in first-seen order. A kernel-pair leg is an
+    effective retraction, and every effective retraction is one, up to
+    iso; so no r needs its effectivity decided.
 
     The search is bound-relative: Fails means no z was found among all
     candidates at the probe objects, Unknown means the sweep was cut off
@@ -404,13 +414,7 @@ def check_allegorical_criterion(cat, e_class, sample, probe_objects=None, budget
     """
     base = list(cat.objects()) if probe_objects is None else list(probe_objects)
     verdicts = []
-    for r in sample:
-        eff = cat.is_effective_retraction(r)
-        if eff.unknown:
-            verdicts.append(Verdict.maybe(reason=f"effectivity of {r!r} undecided"))
-            continue
-        if eff.fails:
-            continue
+    for r in dict.fromkeys(cat.kernel_pair(f).p1 for f in morphisms):
         found = None
         saw_unknown = False
         truncated = False

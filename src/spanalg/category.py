@@ -6,9 +6,11 @@ product, pullback).  Every morphism value carries ``dom`` and ``cod``
 attributes.  Limits are *chosen*: each instance fixes a deterministic
 construction so results replay bit-for-bit.
 
-Generic morphism predicates (mono, epi, split epi, iso, effective
-retraction) fall back to bounded hom-enumeration over a probe carrier;
-instances override them with closed-form deciders where available.
+Generic morphism predicates (mono, epi, split epi, iso) fall back to
+bounded hom-enumeration over a probe carrier; instances override them
+with closed-form deciders where available. Effective retractions need no
+predicate: they are the first legs of kernel pairs, up to iso, so a
+check over them reads them off `kernel_pair`.
 """
 
 from dataclasses import dataclass
@@ -151,31 +153,6 @@ class Category:
             if self.compose(g, f) == id_dom and self.compose(f, g) == id_cod:
                 return g
         return None
-
-    def is_effective_retraction(self, r):
-        """Split epi r such that (r, r') is a kernel pair of some f.
-
-        Fails is only sound relative to the probe carrier: the f whose
-        kernel pair matches might live outside the object stream.
-        """
-        split = self.is_split_epi(r)
-        if not split.holds:
-            return Verdict.no(reason="not a split epimorphism")
-        for rp in self.hom(r.dom, r.cod):
-            for x in self.objects():
-                for f in self.hom(r.cod, x):
-                    kp = self.kernel_pair(f)
-                    u = self._cone_iso(kp, r, rp)
-                    if u is not None:
-                        return Verdict.yes((rp, f), "kernel-pair cone")
-        return Verdict.maybe("probe carrier exhausted")
-
-    def _cone_iso(self, kp, r, rp):
-        """Iso u: dom(r) -> kp.apex with kp.p1 u = r, kp.p2 u = rp."""
-        u = kp.mediate(r, rp)
-        if u is None:
-            return None
-        return u if self.is_iso(u).holds else None
 
 
 def check_associativity(cat, max_triples=None):

@@ -10,6 +10,7 @@ the JSON lines so that report files stay byte-stable across runs.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -18,8 +19,7 @@ import time
 
 from .allegory import (AllegoryView, allegory_suite, check_allegorical_criterion,
                        check_allegorical_relation, check_modular_law, counit_check,
-                       effective_retraction_sample, find_unit, map_category,
-                       tabulate)
+                       find_unit, map_category, tabulate)
 from .classes import check_splitepi_mono_agreement, e_bullet, e_circ, first_outside, m_star
 from .errors import ConfigError, ParseError, SpanalgError, TabulationFailed
 from .fincat import FinCatCategory
@@ -103,30 +103,30 @@ class Context:
             self.carrier = default_carrier(self.cat)
             self.system = named_system(self.cat, default_system_name(args))
         self.rng = random.Random(args.seed)
-        self._classes = {}
 
-    def mor_class(self, tag):
-        got = self._classes.get(tag)
-        if got is not None:
-            return got
-        if tag == "ebullet":
-            got = e_bullet(self.cat, self.system, self.carrier, self.mor_class("mstar"))
-        elif tag == "ecirc":
-            got = e_circ(self.cat, self.system.E, self.carrier)
-        elif tag == "mstar":
-            got = m_star(self.cat, self.system.M, self.carrier)
-        else:
-            raise ParseError(f"unknown class tag {tag!r}")
-        self._classes[tag] = got
-        return got
+    @functools.cached_property
+    def mstar(self):
+        return m_star(self.cat, self.system.M, self.carrier)
+
+    @functools.cached_property
+    def ecirc(self):
+        return e_circ(self.cat, self.system.E, self.carrier)
+
+    @functools.cached_property
+    def ebullet(self):
+        return e_bullet(self.cat, self.system, self.carrier, self.mstar)
 
     def e_like(self):
         """The class E that the relation quotients by: the system's E, E_o
         or E_bullet; None for approx."""
-        if self.args.relation == "simE":
+        relation = self.args.relation
+        if relation == "simE":
             return self.system.E
-        tag = {"simEo": "ecirc", "simEbullet": "ebullet"}.get(self.args.relation)
-        return None if tag is None else self.mor_class(tag)
+        if relation == "simEo":
+            return self.ecirc
+        if relation == "simEbullet":
+            return self.ebullet
+        return None
 
     def equivalence(self):
         tag = self.args.relation
@@ -275,9 +275,8 @@ def cmd_check_allegory(ctx, rep):
     if e_like is not None:
         rep.run("retraction-criterion",
                 lambda: check_allegorical_criterion(
-                    ctx.cat, e_like,
-                    effective_retraction_sample(ctx.cat, ctx.carrier.morphisms()),
-                    objs, budget=ctx.args.bound), spec)
+                    ctx.cat, e_like, ctx.carrier.morphisms(), objs,
+                    budget=ctx.args.bound), spec)
     if suite["verdict"] == FAILS:
         rep.skip("unit", "allegory suite failed")
         return
@@ -291,16 +290,15 @@ def cmd_ebullet(ctx, rep):
     if valid["verdict"] == FAILS:
         rep.skip("class-tables", "system invalid")
         return
-    for tag in ("mstar", "ecirc", "ebullet"):
-        cls = ctx.mor_class(tag)
+    for cls in (ctx.mstar, ctx.ecirc, ctx.ebullet):
         members = sorted(repr(m) for m in cls.members)
         rep.record(f"class-{cls.name}",
                    Verdict.yes(reason=f"{len(members)} carrier members"),
                    {"members": members})
     # spot-check the inclusion of the split-epi closure relation in the
     # conjugate-closure relation on seeded parallel span pairs
-    eqO = make_equivalence(ctx.cat, "simEo", e_class=ctx.mor_class("ecirc"))
-    eqB = make_equivalence(ctx.cat, "simEbullet", e_class=ctx.mor_class("ebullet"))
+    eqO = make_equivalence(ctx.cat, "simEo", e_class=ctx.ecirc)
+    eqB = make_equivalence(ctx.cat, "simEbullet", e_class=ctx.ebullet)
 
     def inclusion():
         objs = ctx.objects()

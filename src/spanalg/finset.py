@@ -213,45 +213,3 @@ class FinSetCategory(Category):
                 inv[y] = x
             return Verdict.yes(FinMor(f.cod, f.dom, tuple(inv)), "inverse")
         return Verdict.no(reason="not a bijection")
-
-    def is_effective_retraction(self, r):
-        """(r, r'): K => A is a kernel pair of some f iff <r, r'> is
-        injective and its image is an equivalence relation on A.
-
-        Searching r' over hom(K, A) decides effectiveness exactly.
-        """
-        split = self.is_split_epi(r)
-        if not split.holds:
-            return Verdict.no(reason="not a split epimorphism")
-        a = r.cod
-        for rp in self.hom(r.dom, a):
-            pairs = list(zip(r.table, rp.table))
-            if len(set(pairs)) != len(pairs):
-                continue
-            rel = set(pairs)
-            if not _is_equivalence(rel, a):
-                continue
-            # recover f as the canonical quotient map of the partition
-            f = _quotient_map(rel, a)
-            return Verdict.yes((rp, f), "kernel-pair cone")
-        return Verdict.no(reason="no r' yields an injective equivalence-relation cone")
-
-
-def _is_equivalence(rel, n):
-    if any((x, x) not in rel for x in range(n)):
-        return False
-    if any((y, x) not in rel for x, y in rel):
-        return False
-    return all((x, z) in rel for x, y1 in rel for y2, z in rel if y1 == y2)
-
-
-def _quotient_map(rel, n):
-    cls = {}
-    nxt = 0
-    for x in range(n):
-        rep = min(y for y in range(n) if (x, y) in rel)
-        if rep not in cls:
-            cls[rep] = nxt
-            nxt += 1
-    table = tuple(cls[min(y for y in range(n) if (x, y) in rel)] for x in range(n))
-    return FinMor(n, nxt, table)

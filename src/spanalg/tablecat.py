@@ -69,6 +69,9 @@ class TableCategory:
             if d not in self.objects or c not in self.objects:
                 raise ParseError(f"morphism {m!r} has unknown endpoints", f"morphisms/{m}")
         for (g, f), gf in self.composition:
+            if any(m not in self._mor_info for m in (g, f, gf)):
+                raise ParseError(f"composite ({g!r},{f!r}) names an unknown morphism",
+                                 "composition")
             if self.cod(f) != self.dom(g):
                 raise ParseError(f"composite ({g!r},{f!r}) is not composable", "composition")
             if self._mor_info[gf] != (self.dom(f), self.cod(g)):
@@ -117,20 +120,46 @@ def make_table(objects, morphisms, identities, composition):
 
 
 def load_table_json(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), str(path))
+    """A validated table read from a JSON object with "objects", "morphisms"
+    (each {"id", "dom", "cod"}), "identities" (object to morphism) and
+    "composition" ([g, f, g after f] rows). ParseError, located in the
+    file, on a file that cannot be read, on text that is not JSON, and on a
+    table of another shape."""
     try:
-        return make_table(
-            data["objects"],
-            [(m["id"], m["dom"], m["cod"]) for m in data["morphisms"]],
-            {k: v for k, v in data["identities"].items()},
-            {(g, f): gf for g, f, gf in data.get("composition", [])},
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc}", str(path))
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(str(exc), str(path))
+    if not isinstance(data, dict):
+        raise ParseError("not a JSON object", str(path))
+
+    def items(name, kind, default=None):
+        got = data.get(name, default)
+        if got is None:
+            raise ParseError(f"missing field {name!r}", str(path))
+        if not isinstance(got, kind):
+            raise ParseError(f"not a JSON {kind.__name__}", f"{path}:{name}")
+        return got
+
+    def label(x, where):
+        if isinstance(x, (list, dict)):
+            raise ParseError(f"{x!r} is not a string or number label", f"{path}:{where}")
+        return x
+
+    objects = [label(x, f"objects/{i}") for i, x in enumerate(items("objects", list))]
+    morphisms = []
+    for i, m in enumerate(items("morphisms", list)):
+        if not isinstance(m, dict) or not {"id", "dom", "cod"} <= m.keys():
+            raise ParseError("not an object with id, dom and cod", f"{path}:morphisms/{i}")
+        morphisms.append(tuple(label(m[k], f"morphisms/{i}/{k}") for k in ("id", "dom", "cod")))
+    identities = {a: label(i, f"identities/{a}") for a, i in items("identities", dict).items()}
+    composition = {}
+    for i, row in enumerate(items("composition", list, [])):
+        if not isinstance(row, list) or len(row) != 3:
+            raise ParseError("not a row [g, f, g after f]", f"{path}:composition/{i}")
+        g, f, gf = (label(x, f"composition/{i}") for x in row)
+        composition[(g, f)] = gf
+    return make_table(objects, morphisms, identities, composition)
 
 
 # -- stock examples ----------------------------------------------------------

@@ -15,6 +15,10 @@ between two apexes for an iso, the reference for the allegory's mediator
 in `spanalg.allegory._map_span_isomorphic`. `check_uniqueness` recomposes
 every candidate factorization for each morphism and tests every member of
 a hom for an iso, the reference for `spanalg.systems._check_uniqueness`.
+`is_effective_retraction` takes a function table r: K -> A as a plain
+tuple and searches every r' for a kernel-pair cone, the reference for the
+retractions that `spanalg.allegory.check_allegorical_criterion` reads off
+kernel pairs.
 """
 
 import itertools
@@ -61,6 +65,24 @@ def image(left_table, right_table):
     """The relation a span of functions stands for: the image of its
     pairing in a x b."""
     return frozenset(zip(left_table, right_table))
+
+
+def is_equivalence(rel, a):
+    """rel is reflexive, symmetric and transitive on range(a)."""
+    return (identity(a) <= rel and transpose(rel) <= rel
+            and compose(rel, rel) <= rel)
+
+
+def is_effective_retraction(table, cod):
+    """The function r: len(table) -> cod is the first leg of a kernel pair:
+    some r' makes the pairing <r, r'> injective, with an equivalence
+    relation on range(cod) as its image. That image is the kernel of the
+    quotient map by the relation, and the pairing an iso onto it."""
+    for rp in itertools.product(range(cod), repeat=len(table)):
+        pairs = image(table, rp)
+        if len(pairs) == len(table) and is_equivalence(pairs, cod):
+            return True
+    return False
 
 
 def is_function(r, a, b):

@@ -8,7 +8,7 @@ from spanalg import (FinSetCategory, Span, TabulationFailed, ThinCategory, alleg
                      check_allegorical_criterion, check_allegorical_relation,
                      check_gamma_pullback_preservation, check_modular_law,
                      check_order, check_special_modular_law,
-                     effective_retraction_sample, fin, find_unit, graph, is_cover, is_map,
+                     fin, find_unit, graph, is_cover, is_map,
                      is_mono_map, make_equivalence, map_category, named_system,
                      relation_span, tabulate)
 from spanalg import allegory, cli
@@ -75,6 +75,43 @@ def test_suite_names_the_sweep_a_budget_cuts(small_view, budget, order_budget, r
         assert first.unknown and first.reason == reason
 
 
+class _OneUndecided:
+    """Delegates to an equivalence, but answers Unknown on the first pair of
+    spans it is asked to compare, and on that pair ever after."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pair = None
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def equal(self, s1, s2):
+        if self.pair is None:
+            self.pair = (s1, s2)
+        if s1 is self.pair[0] and s2 is self.pair[1]:
+            return Verdict.maybe("scripted")
+        return self.inner.equal(s1, s2)
+
+
+@pytest.mark.parametrize("check, reason", [
+    (lambda view: check_order(view, 1, 2), "order comparison undecided on hom(1,2)"),
+    (lambda view: check_monotone_composition(view, 1, 1, 2),
+     "order comparison undecided on hom(1,1)"),
+], ids=["order", "monotone-composition"])
+def test_law_checks_are_unknown_on_an_undecided_comparison(check, reason):
+    # every comparison of distinct classes is an order test that Fails, so
+    # the scripted Unknown lands on one; it refutes nothing and must not be
+    # read as a refutation, nor skipped
+    cat = FinSetCategory(2)
+    equiv = make_equivalence(cat, "simE", named_system(cat, "surj-inj"))
+    assert check(AllegoryView(cat, equiv)).holds
+    scripted = _OneUndecided(equiv)
+    v = check(AllegoryView(cat, scripted))
+    assert scripted.pair is not None
+    assert v.unknown and v.reason == reason
+
+
 def test_one_budget_cuts_the_suite_at_its_first_sweep(small_view):
     v = allegory_suite(small_view, objects=[1, 2], budget=8)
     assert v.unknown
@@ -111,13 +148,12 @@ def test_special_modular_law(small_view):
 def test_suite_four_way_agreement(C, carrier, surj_inj, iso_all, all_iso):
     from spanalg.systems import finset_system
     expectations = {"surj-inj": True, "iso-all": False, "all-iso": True}
-    eff = effective_retraction_sample(C, carrier.morphisms())
     for name, ok in expectations.items():
         system = finset_system(C, name)
         view = AllegoryView(C, make_equivalence(C, "simE", system), objects=range(3))
         suite = allegory_suite(view, objects=range(3))
         rel = check_allegorical_relation(C, view.equiv, carrier.morphisms())
-        crit = check_allegorical_criterion(C, system.E, eff, range(4))
+        crit = check_allegorical_criterion(C, system.E, carrier.morphisms(), range(4))
         m_mono = all(C.is_mono(f).holds for f in carrier.morphisms()
                      if system.M.membership(f).holds)
         assert suite.holds == ok, name
@@ -127,10 +163,9 @@ def test_suite_four_way_agreement(C, carrier, surj_inj, iso_all, all_iso):
 
 
 def test_criterion_failure_witness_is_effective(C, carrier, iso_all):
-    eff = effective_retraction_sample(C, carrier.morphisms())
-    v = check_allegorical_criterion(C, iso_all.E, eff, range(4))
+    v = check_allegorical_criterion(C, iso_all.E, carrier.morphisms(), range(4))
     assert v.fails
-    assert C.is_effective_retraction(v.witness).holds
+    assert oracles.is_effective_retraction(v.witness.table, v.witness.cod)
 
 
 def test_maps_are_function_graphs(C, small_view, surj_inj):

@@ -240,6 +240,18 @@ INPUT_ERRORS = {
        for category in ("thin", "fincat") for cmd in ("validate", "check-allegory")},
     "bound-negative": (["check-allegory", "--category", "finset", "--max-size", "1",
                         "--bound", "-5"], "error: --bound takes 0 or more, not -5"),
+    **{f"table-{case}": (["validate", "--category", "table", "--file", "{table}"],
+                         f"parse error: {{table}}{message}")
+       for case, message in (("not-utf8", ": 'utf-8' codec can't decode byte 0xff"),
+                             ("list", ": not a JSON object"),
+                             ("morphism-number",
+                              ":morphisms/0: not an object with id, dom and cod"),
+                             ("two-item-composite",
+                              ":composition/0: not a row [g, f, g after f]"),
+                             ("list-label",
+                              ":objects/0: ['x'] is not a string or number label"))},
+    "table-missing-file": (["validate", "--category", "table", "--file", "{table}.missing"],
+                           "parse error: {table}.missing: [Errno 2] No such file"),
     "replay-missing-file": (["replay", "--file", "{report}.missing"],
                             "parse error: {report}.missing: [Errno 2] No such file"),
     "replay-not-json": (["replay", "--file", "{report}"], "parse error: {report}:2: not JSON"),
@@ -248,12 +260,18 @@ INPUT_ERRORS = {
 }
 REPORTS = {"replay-not-json": '{"check": "a", "config": {}}\n{not json\n',
            "replay-no-config": '{"check": "a", "verdict": "Holds"}\n'}
+TABLES = {"table-not-utf8": b'{"objects": ["\xff"]}',
+          "table-list": json.dumps([ONE_OBJECT]).encode(),
+          "table-morphism-number": json.dumps(dict(ONE_OBJECT, morphisms=[7])).encode(),
+          "table-two-item-composite": json.dumps(
+              dict(ONE_OBJECT, composition=[["i", "i"]])).encode(),
+          "table-list-label": json.dumps(dict(ONE_OBJECT, objects=[["x"]])).encode()}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
 def test_input_errors_exit_2_without_traceback(case, tmp_path):
     table, report = tmp_path / "table.json", tmp_path / "report.jsonl"
-    table.write_text(json.dumps(ONE_OBJECT))
+    table.write_bytes(TABLES.get(case, json.dumps(ONE_OBJECT).encode()))
     report.write_text(REPORTS.get(case, ""))
     argv, message = INPUT_ERRORS[case]
     paths = {"table": str(table), "report": str(report)}

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from spanalg import DomainMismatch, FinMor, check_associativity, fin
 from spanalg.finset import FinSetCategory
+
+import oracles
 
 
 def test_validation_rejects_bad_tables():
@@ -94,20 +98,23 @@ def test_iso_inverse(C):
     assert C.compose(inv, f) == C.identity(3)
 
 
-def test_effective_retraction_kernel_pair_legs(C):
-    # the first kernel-pair leg of a morphism is an effective retraction
-    r = C.kernel_pair(fin(2, 1, (0, 0))).p1
-    assert C.is_effective_retraction(r).holds
-    # a non-split-epi cannot be one
-    assert C.is_effective_retraction(fin(1, 2, (0,))).fails
-    # a surjection that is not a kernel-pair leg of anything:
-    # 2 -> 1 would need apex 1 x_C 1 of size 2
-    assert C.is_effective_retraction(fin(2, 1, (0, 0))).fails
-
-
-def test_identity_is_effective(C):
-    assert C.is_effective_retraction(C.identity(2)).holds
-
+def test_effective_retraction_kernel_pair_legs():
+    # the retraction criterion reads its effective retractions off kernel
+    # pairs: every kernel-pair leg is one, and every one is a leg up to a
+    # bijection of its domain, which keeps dom, cod and the sorted table
+    C = FinSetCategory(2)
+    legs = {C.kernel_pair(f).p1 for a in range(3) for b in range(3) for f in C.hom(a, b)}
+    assert all(oracles.is_effective_retraction(r.table, r.cod) for r in legs)
+    shapes = {(r.dom, r.cod, tuple(sorted(r.table))) for r in legs}
+    accepted = [(k, a, table) for a in range(3) for k in range(5)
+                for table in itertools.product(range(a), repeat=k)
+                if oracles.is_effective_retraction(table, a)]
+    assert accepted
+    for k, a, table in accepted:
+        assert (k, a, tuple(sorted(table))) in shapes, (k, a, table)
+    # no leg misses a point of its codomain, and a kernel pair over 1 has apex 1
+    assert not oracles.is_effective_retraction((0,), 2)
+    assert not oracles.is_effective_retraction((0, 0), 1)
 
 
 def test_subobjects_are_the_subsets_in_size_then_lex_order(C):

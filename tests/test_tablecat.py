@@ -45,6 +45,12 @@ def test_missing_composite_rejected():
         )
 
 
+def test_composite_naming_an_unknown_morphism_rejected():
+    with pytest.raises(ParseError) as exc:
+        make_table([0], [("i", 0, 0)], {0: "i"}, {("i", "zz"): "i"})
+    assert "unknown morphism" in str(exc.value)
+
+
 def _write(tmp_path, data):
     p = tmp_path / "cat.json"
     p.write_text(json.dumps(data))
