@@ -117,6 +117,14 @@ def test_effective_retraction_kernel_pair_legs():
     assert not oracles.is_effective_retraction((0, 0), 1)
 
 
+def test_identity_is_effective(C):
+    # an identity is the first kernel-pair leg of itself, and the oracle
+    # accepts it as an effective retraction
+    i = C.identity(2)
+    assert C.kernel_pair(i).p1 == i
+    assert oracles.is_effective_retraction(i.table, i.cod)
+
+
 def test_subobjects_are_the_subsets_in_size_then_lex_order(C):
     for n in range(5):
         subs = list(C.subobjects(n))
