@@ -48,6 +48,15 @@ class AllegoryView:
     object. Each op tests `id(x) in self._interned` inline and calls `rep`
     only on a span that is not interned, so a hit builds no span and
     makes no call beyond the table lookup.
+
+    The law sweeps work on positions: a private table per hom (a, b) gives
+    each representative it meets, listed or an op result, the next small
+    integer, and never lists the hom. Its memos hold meet, leq and equal
+    as `[i][j]` and inv as `[i]`; one memo per (a, b, c) holds composites
+    as `[i][k]`. A memo calls the view's op on a key's first use only,
+    so a sweep asks for the same ops in the same first-use order as one
+    without memos (a keyless view picks the same representatives), and a
+    cut sweep does no work past its cut. leq and equal keep the Verdict.
     """
 
     def __init__(self, cat, equiv, objects=None):
@@ -62,6 +71,8 @@ class AllegoryView:
         self._identities = {}  # object -> its identity class
         self._graphs = {}      # morphism -> its graph class
         self._ops = {}         # (tag, id, ...) -> interned result or equal Verdict
+        self._positions = _Memo(lambda ab: _Positions(self, *ab))
+        self._composites = _Memo(lambda abc: _composites(self, *abc))
 
     # representative interning
 
@@ -160,6 +171,60 @@ class AllegoryView:
         return got
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key) on its first use, so
+    a hit is a plain dict lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
+def _rows(fill):
+    """A memo of memos: `rows[i][j]` is fill(i, j), filled on first use."""
+    return _Memo(lambda i: _Memo(lambda j: fill(i, j)))
+
+
+class _Positions:
+    """The positional table of hom(a, b): `reps[i]` is the representative
+    at position i, and the memos answer the view's ops on positions."""
+
+    def __init__(self, view, a, b):
+        reps = self.reps = []
+        self.at = {}           # id(rep) -> position
+        meet = self.meet = _rows(lambda i, j: self.pos(view.meet(reps[i], reps[j])))
+        equal = self.equal = _rows(lambda i, j: view.equal(reps[i], reps[j]))
+        self.leq = _rows(lambda i, j: equal[meet[i][j]][i])
+        self.inv = _Memo(lambda i: view._positions[b, a].pos(view.inv(reps[i])))
+
+    def pos(self, r):
+        """The position of the interned representative r."""
+        i = self.at.get(id(r))
+        if i is None:
+            i = self.at[id(r)] = len(self.reps)
+            self.reps.append(r)
+        return i
+
+    def of(self, view, s):
+        """The position of the class of any span s of the hom; only a span
+        without a position yet is passed to `rep`."""
+        i = self.at.get(id(s))
+        return self.pos(view.rep(s)) if i is None else i
+
+
+def _composites(view, a, b, c):
+    """The memo of composites hom(a, b) x hom(b, c) -> hom(a, c) on positions."""
+    left, right = view._positions[a, b].reps, view._positions[b, c].reps
+    out = view._positions[a, c]
+    return _rows(lambda i, k: out.pos(view.compose(left[i], right[k])))
+
+
 # -- witnesses -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -222,41 +287,45 @@ def check_order(view, a, b, triple_budget=None):
     reps, complete = view.hom(a, b)
     if not reps:
         raise EnumerationUnavailable(f"no enumerable classes {a!r} -> {b!r}")
+    hom, back = view._positions[a, b], view._positions[b, a]
+    meet, equal, leq, inv, rep = hom.meet, hom.equal, hom.leq, hom.inv, hom.reps
+    idx = [hom.pos(r) for r in reps]
     verdicts = []
-    for r in reps:
-        v = view.equal(view.meet(r, r), r)
+    for i in idx:
+        v = equal[meet[i][i]][i]
         if v.fails:
-            return Verdict.no(r, "meet not idempotent")
+            return Verdict.no(rep[i], "meet not idempotent")
         verdicts.append(v)
-    for r, s in itertools.product(reps, repeat=2):
-        v = view.equal(view.meet(r, s), view.meet(s, r))
+    for i, j in itertools.product(idx, repeat=2):
+        ij = meet[i][j]
+        v = equal[ij][meet[j][i]]
         if v.fails:
-            return Verdict.no((r, s), "meet not commutative")
+            return Verdict.no((rep[i], rep[j]), "meet not commutative")
         verdicts.append(v)
-        v = view.equal(view.inv(view.meet(r, s)),
-                       view.meet(view.inv(r), view.inv(s)))
+        v = back.equal[inv[ij]][back.meet[inv[i]][inv[j]]]
         if v.fails:
-            return Verdict.no((r, s), "involution does not preserve meets")
+            return Verdict.no((rep[i], rep[j]), "involution does not preserve meets")
         verdicts.append(v)
-    triples, cut = _within(itertools.product(reps, repeat=3), len(reps) ** 3,
+    triples, cut = _within(itertools.product(idx, repeat=3), len(idx) ** 3,
                            triple_budget, f"associativity triples on hom({a!r},{b!r})")
     undecided = False
-    for r, s, t in triples:
-        v = view.equal(view.meet(view.meet(r, s), t), view.meet(r, view.meet(s, t)))
+    for i, j, k in triples:
+        ij = meet[i][j]
+        v = equal[meet[ij][k]][meet[i][meet[j][k]]]
         if v.fails:
-            return Verdict.no((r, s, t), "meet not associative")
+            return Verdict.no((rep[i], rep[j], rep[k]), "meet not associative")
         verdicts.append(v)
         # t <= r and t <= s against t <= r meet s, in three values
-        below_both = view.leq(t, r).outcome
+        below_both = leq[k][i].outcome
         if below_both != FAILS:
-            below_s = view.leq(t, s).outcome
+            below_s = leq[k][j].outcome
             if below_both == HOLDS or below_s == FAILS:
                 below_both = below_s
-        below_meet = view.leq(t, view.meet(r, s)).outcome
+        below_meet = leq[k][ij].outcome
         if below_both == UNKNOWN or below_meet == UNKNOWN:
             undecided = True
         elif below_both != below_meet:
-            return Verdict.no((r, s, t), "meet is not a greatest lower bound")
+            return Verdict.no((rep[i], rep[j], rep[k]), "meet is not a greatest lower bound")
     out = combine(verdicts)
     if out.holds and not complete:
         return Verdict.maybe(reason=f"hom({a!r},{b!r}) enumeration incomplete")
@@ -267,26 +336,30 @@ def check_monotone_composition(view, a, b, c, quad_budget=None):
     """r <= r' implies (r then s) <= (r' then s), and on the other side.
     Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads or
     some r <= r' is undecided."""
-    ab, _ = view.hom(a, b)
-    bc, _ = view.hom(b, c)
-    quads, cut = _within(((r, r2, s) for r in ab for r2 in ab for s in bc),
+    left, right = view._positions[a, b], view._positions[b, c]
+    rs, ss = left.reps, right.reps
+    ac, ca = view._positions[a, c], view._positions[c, a]
+    then, back_then = view._composites[a, b, c], view._composites[c, b, a]
+    ab = [left.pos(r) for r in view.hom(a, b)[0]]
+    bc = [right.pos(s) for s in view.hom(b, c)[0]]
+    quads, cut = _within(((i, i2, k) for i in ab for i2 in ab for k in bc),
                          len(ab) ** 2 * len(bc), quad_budget,
                          f"monotone-composition quads on ({a!r},{b!r},{c!r})")
     verdicts = []
     undecided = False
-    for r, r2, s in quads:
-        below = view.leq(r, r2).outcome
+    for i, i2, k in quads:
+        below = left.leq[i][i2].outcome
         if below != HOLDS:
             undecided = undecided or below == UNKNOWN
             continue
-        v = view.leq(view.compose(r, s), view.compose(r2, s))
+        v = ac.leq[then[i][k]][then[i2][k]]
         if v.fails:
-            return Verdict.no((r, r2, s), "composition not monotone on the left")
+            return Verdict.no((rs[i], rs[i2], ss[k]), "composition not monotone on the left")
         verdicts.append(v)
-        w = view.leq(view.compose(view.inv(s), view.inv(r)),
-                     view.compose(view.inv(s), view.inv(r2)))
+        w = ca.leq[back_then[right.inv[k]][left.inv[i]]][
+            back_then[right.inv[k]][left.inv[i2]]]
         if w.fails:
-            return Verdict.no((r, r2, s), "composition not monotone on the right")
+            return Verdict.no((rs[i], rs[i2], ss[k]), "composition not monotone on the right")
         verdicts.append(w)
     out = combine(verdicts) if verdicts else Verdict.yes(reason="no comparable pairs")
     return _undecided(_cut(out, cut), undecided, a, b)
@@ -294,14 +367,26 @@ def check_monotone_composition(view, a, b, c, quad_budget=None):
 
 def check_modular_law(view, triples):
     """Freyd modular law: (s.r) meet t <= s.(r meet (s deg . t)), with
-    triples (r: a -> b, s: b -> c, t: a -> c)."""
+    triples (r: a -> b, s: b -> c, t: a -> c). The spans need not be
+    representatives; each is interned where the ops would first intern it."""
+    positions, composites = view._positions, view._composites
     verdicts = []
     n = 0
+    last_r = last_s = None
     for r, s, t in triples:
         n += 1
-        lhs = view.meet(view.compose(r, s), t)
-        rhs = view.compose(view.meet(r, view.compose(t, view.inv(s))), s)
-        v = view.leq(lhs, rhs)
+        if r is not last_r or s is not last_s:
+            # a sweep varies t fastest, so r and s are placed once per run
+            a, b, c = r.dom, r.cod, s.cod
+            ab, bc, ac = positions[a, b], positions[b, c], positions[a, c]
+            then, back = composites[a, b, c], composites[a, c, b]
+            i, k = ab.of(view, r), bc.of(view, s)
+            last_r, last_s = r, s
+        rs = then[i][k]
+        j = ac.of(view, t)
+        lhs = ac.meet[rs][j]
+        rhs = then[ab.meet[i][back[j][bc.inv[k]]]][k]
+        v = ac.leq[lhs][rhs]
         if v.fails:
             return Verdict.no((r, s, t), "modular law fails")
         verdicts.append(v)

@@ -33,8 +33,20 @@ from .verdict import FAILS, HOLDS, UNKNOWN, Verdict, combine
 
 # -- configuration ---------------------------------------------------------------
 
+class _ConfigParser(argparse.ArgumentParser):
+    """Raises a ParseError where argparse would print usage and exit, for
+    the configs that `replay` reads from a report."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="spanalg", description=__doc__.splitlines()[0])
+    return _parser(argparse.ArgumentParser)
+
+
+def _parser(cls):
+    p = cls(prog="spanalg", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("validate", "check-allegory", "ebullet", "quotient",
                  "tabulate", "map-counit"):
@@ -389,8 +401,9 @@ def _fincat_probe(ctx, rep):
 
 
 def read_report(path):
-    """The lines of a saved report; ParseError on an unreadable file or on
-    a line that is not a JSON object with a check and a config."""
+    """The lines of a saved report, each with its line number; ParseError
+    on an unreadable file or on a line that is not a JSON object with a
+    check and a config."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -407,29 +420,37 @@ def read_report(path):
         if not isinstance(line, dict) or "check" not in line \
                 or not isinstance(line.get("config"), dict):
             raise ParseError("not a report line with a check and a config", f"{path}:{n}")
-        lines.append(line)
+        lines.append((n, line))
     return lines
 
 
 def cmd_replay(args):
-    lines = read_report(args.file)
-    configs = []
-    for l in lines:
-        if l["config"] not in configs:
-            configs.append(l["config"])
+    numbered = read_report(args.file)
+    lines = [l for _, l in numbered]
+    configs = []    # (the number of the first line carrying it, config)
+    for n, l in numbered:
+        if all(l["config"] != cfg for _, cfg in configs):
+            configs.append((n, l["config"]))
     mismatches = 0
-    for cfg in configs:
+    for n, cfg in configs:
+        where = f"{args.file}:{n}"
         try:
             argv = [cfg["command"], "--category", cfg["category"],
                     "--relation", cfg["relation"], "--max-size", cfg["maxSize"],
                     "--bound", cfg["bound"], "--seed", cfg["seed"], "--format", "json"]
         except KeyError as exc:
-            raise ParseError(f"config has no {exc}", args.file)
+            raise ParseError(f"config has no {exc}", where)
+        if cfg["command"] not in COMMANDS:
+            raise ParseError(f"config command {cfg['command']!r} is not one of "
+                             f"{', '.join(COMMANDS)}", where)
         if cfg.get("system"):
             argv += ["--system", cfg["system"]]
         if cfg.get("file"):
             argv += ["--file", cfg["file"]]
-        ns = build_parser().parse_args([str(a) for a in argv])
+        try:
+            ns = _parser(_ConfigParser).parse_args([str(a) for a in argv])
+        except ParseError as exc:
+            raise ParseError(f"config rejected: {exc}", where) from None
         ctx = Context(ns)
         rep = Reporter(ctx)
         COMMANDS[ns.command](ctx, rep)

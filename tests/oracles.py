@@ -19,11 +19,18 @@ a hom for an iso, the reference for `spanalg.systems._check_uniqueness`.
 tuple and searches every r' for a kernel-pair cone, the reference for the
 retractions that `spanalg.allegory.check_allegorical_criterion` reads off
 kernel pairs.
+
+The law sweeps at the end (`check_order`, `check_monotone_composition`,
+`check_modular_law`, `modular_triples`, `check_special_modular_law` and
+`allegory_suite`) call an `AllegoryView`'s ops for every element of every
+sweep, with no positional memo; they are the references for the sweeps of
+`spanalg.allegory`, in verdicts and in the order of the ops they ask for.
 """
 
 import itertools
 
-from spanalg.verdict import Verdict
+from spanalg.errors import EnumerationUnavailable
+from spanalg.verdict import FAILS, HOLDS, UNKNOWN, Verdict, combine
 
 
 def all_relations(a, b):
@@ -203,3 +210,172 @@ def check_uniqueness(system, carrier):
                         return Verdict.no({"f": f, "alt": (e2, m2)},
                                           "two factorizations not iso-linked")
     return Verdict.yes()
+
+
+# -- reference law sweeps, object by object ----------------------------------------
+
+def _within(items, total, budget, sweep):
+    """The first `budget` of `total` items, and the reason a Holds over
+    them is only Unknown, or None when the budget covers them all."""
+    if budget is None or total <= budget:
+        return items, None
+    return itertools.islice(items, budget), f"{sweep} cut at the bound ({budget} of {total})"
+
+
+def _cut(verdict, reason):
+    return Verdict.maybe(reason=reason) if verdict.holds and reason else verdict
+
+
+def _undecided(verdict, undecided, a, b):
+    """Unknown, not Holds, when an order comparison on hom(a, b) that the
+    law rests on was left undecided."""
+    return _cut(verdict, undecided and f"order comparison undecided on hom({a!r},{b!r})")
+
+
+def check_order(view, a, b, triple_budget=None):
+    """Meet laws on hom(a, b): idempotence, commutativity, associativity,
+    greatest-lower-bound for the derived order, and involution
+    preserving meets. Unknown, not Holds, when `triple_budget` cuts the
+    associativity triples or an order comparison is undecided; Fails on
+    the greatest lower bound only where decided comparisons refute it."""
+    reps, complete = view.hom(a, b)
+    if not reps:
+        raise EnumerationUnavailable(f"no enumerable classes {a!r} -> {b!r}")
+    verdicts = []
+    for r in reps:
+        v = view.equal(view.meet(r, r), r)
+        if v.fails:
+            return Verdict.no(r, "meet not idempotent")
+        verdicts.append(v)
+    for r, s in itertools.product(reps, repeat=2):
+        v = view.equal(view.meet(r, s), view.meet(s, r))
+        if v.fails:
+            return Verdict.no((r, s), "meet not commutative")
+        verdicts.append(v)
+        v = view.equal(view.inv(view.meet(r, s)),
+                       view.meet(view.inv(r), view.inv(s)))
+        if v.fails:
+            return Verdict.no((r, s), "involution does not preserve meets")
+        verdicts.append(v)
+    triples, cut = _within(itertools.product(reps, repeat=3), len(reps) ** 3,
+                           triple_budget, f"associativity triples on hom({a!r},{b!r})")
+    undecided = False
+    for r, s, t in triples:
+        v = view.equal(view.meet(view.meet(r, s), t), view.meet(r, view.meet(s, t)))
+        if v.fails:
+            return Verdict.no((r, s, t), "meet not associative")
+        verdicts.append(v)
+        # t <= r and t <= s against t <= r meet s, in three values
+        below_both = view.leq(t, r).outcome
+        if below_both != FAILS:
+            below_s = view.leq(t, s).outcome
+            if below_both == HOLDS or below_s == FAILS:
+                below_both = below_s
+        below_meet = view.leq(t, view.meet(r, s)).outcome
+        if below_both == UNKNOWN or below_meet == UNKNOWN:
+            undecided = True
+        elif below_both != below_meet:
+            return Verdict.no((r, s, t), "meet is not a greatest lower bound")
+    out = combine(verdicts)
+    if out.holds and not complete:
+        return Verdict.maybe(reason=f"hom({a!r},{b!r}) enumeration incomplete")
+    return _undecided(_cut(out, cut), undecided, a, b)
+
+
+def check_monotone_composition(view, a, b, c, quad_budget=None):
+    """r <= r' implies (r then s) <= (r' then s), and on the other side.
+    Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads or
+    some r <= r' is undecided."""
+    ab, _ = view.hom(a, b)
+    bc, _ = view.hom(b, c)
+    quads, cut = _within(((r, r2, s) for r in ab for r2 in ab for s in bc),
+                         len(ab) ** 2 * len(bc), quad_budget,
+                         f"monotone-composition quads on ({a!r},{b!r},{c!r})")
+    verdicts = []
+    undecided = False
+    for r, r2, s in quads:
+        below = view.leq(r, r2).outcome
+        if below != HOLDS:
+            undecided = undecided or below == UNKNOWN
+            continue
+        v = view.leq(view.compose(r, s), view.compose(r2, s))
+        if v.fails:
+            return Verdict.no((r, r2, s), "composition not monotone on the left")
+        verdicts.append(v)
+        w = view.leq(view.compose(view.inv(s), view.inv(r)),
+                     view.compose(view.inv(s), view.inv(r2)))
+        if w.fails:
+            return Verdict.no((r, r2, s), "composition not monotone on the right")
+        verdicts.append(w)
+    out = combine(verdicts) if verdicts else Verdict.yes(reason="no comparable pairs")
+    return _undecided(_cut(out, cut), undecided, a, b)
+
+
+def check_modular_law(view, triples):
+    """Freyd modular law: (s.r) meet t <= s.(r meet (s deg . t)), with
+    triples (r: a -> b, s: b -> c, t: a -> c)."""
+    verdicts = []
+    n = 0
+    for r, s, t in triples:
+        n += 1
+        lhs = view.meet(view.compose(r, s), t)
+        rhs = view.compose(view.meet(r, view.compose(t, view.inv(s))), s)
+        v = view.leq(lhs, rhs)
+        if v.fails:
+            return Verdict.no((r, s, t), "modular law fails")
+        verdicts.append(v)
+    out = combine(verdicts)
+    if out.holds:
+        return Verdict.yes(reason=f"{n} triples")
+    return out
+
+
+def check_special_modular_law(view, sample):
+    """r <= r . r deg . r for every sampled class r."""
+    verdicts = []
+    for r in sample:
+        v = view.leq(r, view.compose(view.compose(r, view.inv(r)), r))
+        if v.fails:
+            return Verdict.no(r, "special modular law fails")
+        verdicts.append(v)
+    return combine(verdicts)
+
+
+def modular_triples(view, a, b, c, budget=None):
+    """The triples (r, s, t) over hom(a, b), hom(b, c) and hom(a, c), cut
+    to `budget`, and the reason a Holds over them is only Unknown, or None
+    when none was cut."""
+    ab, _ = view.hom(a, b)
+    bc, _ = view.hom(b, c)
+    ac, _ = view.hom(a, c)
+    return _within(itertools.product(ab, bc, ac), len(ab) * len(bc) * len(ac),
+                   budget, f"modular triples on ({a!r},{b!r},{c!r})")
+
+
+def allegory_suite(view, objects=None, budget=None):
+    """Order laws, monotone composition, and both modular laws over all
+    hom-configurations on the given objects. Each sweep is cut to `budget`;
+    a cut sweep gives Unknown, with a reason that names it."""
+    objs = view.objects if objects is None else list(objects)
+    verdicts = []
+    for a, b in itertools.product(objs, repeat=2):
+        v = check_order(view, a, b, triple_budget=budget)
+        if v.fails:
+            return Verdict.no(v.witness, f"order laws fail on hom({a!r},{b!r}): {v.reason}")
+        verdicts.append(v)
+    for a, b, c in itertools.product(objs, repeat=3):
+        v = check_monotone_composition(view, a, b, c, quad_budget=budget)
+        if v.fails:
+            return Verdict.no(v.witness, v.reason)
+        verdicts.append(v)
+        triples, cut = modular_triples(view, a, b, c, budget)
+        v = check_modular_law(view, triples)
+        if v.fails:
+            return Verdict.no(v.witness, v.reason)
+        verdicts.append(_cut(v, cut))
+    for a, b in itertools.product(objs, repeat=2):
+        v = check_special_modular_law(view, view.hom(a, b)[0])
+        if v.fails:
+            return Verdict.no(v.witness, v.reason)
+        verdicts.append(v)
+    return combine(verdicts)

@@ -1,8 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spanalg import (FinSetCategory, Span, TabulationFailed, ThinCategory, allegory_suite,
                      check_allegorical_criterion, check_allegorical_relation,
@@ -607,8 +608,8 @@ def _finset2(system, relation="simE"):
     return cat, _equivalence(cat, system, relation)
 
 
-def _chain4(relation):
-    cat = ThinCategory.chain(4)
+def _chain(relation, n=4):
+    cat = ThinCategory.chain(n)
     return cat, _equivalence(cat, "iso-all", relation)
 
 
@@ -622,8 +623,8 @@ GROUPED_VIEWS = {
     # some comparisons are Unknown here, so four homs are incomplete
     "finset-iso-all-simEo": (lambda: _finset2("iso-all", "simEo"), False),
     "finset-approx": (lambda: _finset2("surj-inj", "approx"), False),
-    "thin-simE": (lambda: _chain4("simE"), False),
-    "thin-simEo": (lambda: _chain4("simEo"), False),
+    "thin-simE": (lambda: _chain("simE"), False),
+    "thin-simEo": (lambda: _chain("simEo"), False),
 }
 
 
@@ -668,7 +669,7 @@ def test_classes_are_relations_when_m_is_monic(category, system, monic):
 MAP_VIEWS = {f"finset-{system}-{relation}": (lambda s=system, r=relation: _finset2(s, r))
              for system in ("surj-inj", "iso-all", "all-iso")
              for relation in ("simE", "simEo", "simEbullet", "approx")}
-MAP_VIEWS.update({f"thin-{relation}": (lambda r=relation: _chain4(r))
+MAP_VIEWS.update({f"thin-{relation}": (lambda r=relation: _chain(r))
                   for relation in ("simE", "simEo", "simEbullet")})
 GRAPH_VIEWS = {"finset-surj-inj-simE", "thin-simE"}
 
@@ -688,3 +689,126 @@ def test_map_homs_are_the_classes_is_map_accepts(name):
         assert len(got) == len(want), (a, b)
         assert {id(r) for r in got} == {id(r) for r in want}, (a, b)
         assert mc.complete == complete, (a, b)
+
+
+# -- the positional sweeps against the object-level references ------------------------
+
+SWEEP_VIEWS = {f"finset-{system}-{relation}": functools.partial(_finset2, system, relation)
+               for system in ("surj-inj", "iso-all", "all-iso") for relation in ("simE", "simEo")}
+SWEEP_VIEWS.update({f"thin-{n}": functools.partial(_chain, "simE", n) for n in (2, 3, 4)})
+
+
+@functools.cache
+def _sweep_base(name):
+    return SWEEP_VIEWS[name]()
+
+
+def _modular_sweep(laws, view, a, b, c, budget):
+    """The suite's modular sweep on (a, b, c), with its cut."""
+    triples, cut = laws.modular_triples(view, a, b, c, budget)
+    v = laws.check_modular_law(view, triples)
+    return Verdict.maybe(reason=cut) if v.holds and cut else v
+
+
+# sweep -> (its number of objects, its run on a module of law sweeps, its total)
+SWEEPS = {
+    "order": (2, lambda laws, view, objs, budget:
+              laws.check_order(view, *objs, triple_budget=budget),
+              lambda n: n[0] ** 3),
+    "monotone": (3, lambda laws, view, objs, budget:
+                 laws.check_monotone_composition(view, *objs, quad_budget=budget),
+                 lambda n: n[0] ** 2 * n[1]),
+    "modular": (3, lambda laws, view, objs, budget: _modular_sweep(laws, view, *objs, budget),
+                lambda n: n[0] * n[1] * n[2]),
+}
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A view, a sweep on objects of it, whether the first comparison is
+    scripted Unknown, and a budget from 0 to the sweep's total or none."""
+    name = draw(st.sampled_from(sorted(SWEEP_VIEWS)))
+    sweep = draw(st.sampled_from(sorted(SWEEPS)))
+    cat, equiv = _sweep_base(name)
+    arity, _, total = SWEEPS[sweep]
+    objs = tuple(draw(st.sampled_from(list(cat.objects()))) for _ in range(arity))
+    sizer = AllegoryView(cat, equiv)
+    ends = [(objs[0], objs[1]), (objs[1], objs[-1]), (objs[0], objs[-1])]
+    n = total([len(sizer.hom(x, y)[0]) for x, y in ends])
+    return name, sweep, draw(st.booleans()), objs, draw(st.none() | st.integers(0, n))
+
+
+class _Recorder:
+    """Delegates to an equivalence and logs its key and equal calls, in
+    the order the view's ops make them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def key(self, s):
+        self.log.append(("key", s))
+        return self.inner.key(s)
+
+    def equal(self, s1, s2):
+        self.log.append(("equal", s1, s2))
+        return self.inner.equal(s1, s2)
+
+
+def _state(view):
+    """The representatives, undecided homs and decider calls a view has."""
+    return list(view._interned.values()), view._undecided, view.equiv.log
+
+
+def _run_sweep(laws, name, sweep, scripted, objs, budget):
+    """The verdict of one sweep on a fresh view, and the state it leaves."""
+    cat, equiv = _sweep_base(name)
+    view = AllegoryView(cat, _Recorder(_OneUndecided(equiv) if scripted else equiv))
+    v = SWEEPS[sweep][1](laws, view, objs, budget)
+    return (v.outcome, v.reason, repr(v.witness)), _state(view)
+
+
+@given(_sweep_cases())
+# a Fails ("meet not idempotent"), a scripted undecided comparison, a cut
+# modular sweep and a cut scripted sweep on a keyless view
+@example(("finset-iso-all-simE", "order", False, (1, 1), None))
+@example(("finset-surj-inj-simE", "order", True, (1, 2), None))
+@example(("finset-surj-inj-simE", "modular", False, (1, 1, 2), 16))
+@example(("finset-iso-all-simEo", "monotone", True, (2, 2, 1), 100))
+def test_positional_sweeps_match_the_object_level_references(case):
+    want = _run_sweep(oracles, *case)
+    got = _run_sweep(allegory, *case)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+# keyless views, where the op order picks the representatives
+ORDER_VIEWS = {"finset-iso-all-simEo": functools.partial(_finset2, "iso-all", "simEo"),
+               "thin-5": functools.partial(_chain, "simE", 5)}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_VIEWS))
+def test_suite_interns_as_the_reference_suite_does(name):
+    cat, equiv = ORDER_VIEWS[name]()
+    assert equiv.key(Span(0, cat.identity(0), cat.identity(0))) is None
+    views = AllegoryView(cat, _Recorder(equiv)), AllegoryView(cat, _Recorder(equiv))
+    got, want = allegory.allegory_suite(views[0]), oracles.allegory_suite(views[1])
+    assert (got.outcome, got.reason) == (want.outcome, want.reason)
+    assert _state(views[0]) == _state(views[1])
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+@pytest.mark.parametrize("name", sorted(ORDER_VIEWS))
+def test_standalone_sweeps_intern_as_the_references_do(name, sweep):
+    # one fresh view per side, swept on every configuration in turn
+    cat, equiv = ORDER_VIEWS[name]()
+    arity, run, _ = SWEEPS[sweep]
+    views = AllegoryView(cat, _Recorder(equiv)), AllegoryView(cat, _Recorder(equiv))
+    for objs in itertools.product(views[0].objects, repeat=arity):
+        got, want = run(allegory, views[0], objs, None), run(oracles, views[1], objs, None)
+        assert (got.outcome, got.reason, repr(got.witness)) == \
+            (want.outcome, want.reason, repr(want.witness)), objs
+        assert _state(views[0]) == _state(views[1]), objs

@@ -257,9 +257,23 @@ INPUT_ERRORS = {
     "replay-not-json": (["replay", "--file", "{report}"], "parse error: {report}:2: not JSON"),
     "replay-no-config": (["replay", "--file", "{report}"],
                          "parse error: {report}:1: not a report line with a check and a config"),
+    # a config the command line rejects, named at the first line carrying it
+    **{f"replay-{case}": (["replay", "--file", "{report}"], f"parse error: {{report}}:2: {message}")
+       for case, message in (
+           ("max-size-list", "config rejected: argument --max-size: invalid int value: '[1]'"),
+           ("unknown-category", "config rejected: argument --category: invalid choice: 'poset'"),
+           ("unknown-command", "config command 'replay' is not one of validate, quotient, "
+                               "check-allegory, ebullet, tabulate, map-counit"))},
 }
+REPLAYED = {"command": "check-allegory", "category": "finset", "system": "surj-inj",
+            "relation": "simE", "maxSize": 1, "bound": 4096, "seed": 0, "file": None}
 REPORTS = {"replay-not-json": '{"check": "a", "config": {}}\n{not json\n',
-           "replay-no-config": '{"check": "a", "verdict": "Holds"}\n'}
+           "replay-no-config": '{"check": "a", "verdict": "Holds"}\n',
+           **{f"replay-{case}": "\n" + 2 * (json.dumps(
+               {"check": "a", "config": dict(REPLAYED, **change)}) + "\n")
+              for case, change in (("max-size-list", {"maxSize": [1]}),
+                                   ("unknown-category", {"category": "poset"}),
+                                   ("unknown-command", {"command": "replay"}))}}
 TABLES = {"table-not-utf8": b'{"objects": ["\xff"]}',
           "table-list": json.dumps([ONE_OBJECT]).encode(),
           "table-morphism-number": json.dumps(dict(ONE_OBJECT, morphisms=[7])).encode(),
@@ -281,4 +295,6 @@ def test_input_errors_exit_2_without_traceback(case, tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2
     assert proc.stderr.startswith(message.format(**paths)), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+

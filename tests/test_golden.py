@@ -24,6 +24,12 @@ COMMANDS = {
     "finset-check-allegory-iso-all-simEbullet": ["check-allegory", "--category", "finset",
                                                  "--system", "iso-all", "--relation",
                                                  "simEbullet", "--max-size", "2"],
+    # a suite cut at the bound, and one over homs with undecided comparisons
+    "finset-check-allegory-bound-64": ["check-allegory", "--category", "finset",
+                                       "--max-size", "2", "--bound", "64"],
+    "finset-check-allegory-iso-all-simEo": ["check-allegory", "--category", "finset",
+                                            "--system", "iso-all", "--relation", "simEo",
+                                            "--max-size", "2"],
     "finset-ebullet-iso-all": ["ebullet", "--category", "finset", "--system", "iso-all",
                                "--max-size", "2"],
     "finset-ebullet-surj-inj-3": ["ebullet", "--category", "finset", "--system", "surj-inj",
