@@ -24,39 +24,29 @@ from .verdict import FAILS, HOLDS, UNKNOWN, Verdict, combine
 
 # frozen, so every call on two spans of one class can return this one object
 _SAME_REPRESENTATIVE = Verdict.yes(reason="same representative")
+# the verdict of a monotone-composition sweep whose comparisons all held
+_COMPARED = Verdict.yes()
 
 
 class AllegoryView:
     """Induced operations on span classes, with interned representatives.
 
-    Every operation returns the class representative, so representatives
-    can be compared by identity and reused as cache keys.
-
-    Interning is idempotent by identity: `rep(r) is r` for every
-    representative r the view has returned, and it is answered without
-    calling the equivalence. `equal` on two distinct interned
-    representatives is decided once and then cached, so repeated law
-    checks over the same classes do not re-decide it. The identity class
-    of each object and the graph class of each morphism are cached too, so
-    `identity(a)` and `of_morphism(f)` build and intern their span only
-    once.
-
-    `compose`, `meet`, `inv` and `equal` share one op table, keyed on flat
-    tuples of a tag and the ids of interned representatives, such as
-    `("m", id(a), id(b))`. The view keeps every interned representative
-    alive in `_interned`, so no id in a key can be reused by another
-    object. Each op tests `id(x) in self._interned` inline and calls `rep`
-    only on a span that is not interned, so a hit builds no span and
-    makes no call beyond the table lookup.
-
-    The law sweeps work on positions: a private table per hom (a, b) gives
-    each representative it meets, listed or an op result, the next small
-    integer, and never lists the hom. Its memos hold meet, leq and equal
-    as `[i][j]` and inv as `[i]`; one memo per (a, b, c) holds composites
-    as `[i][k]`. A memo calls the view's op on a key's first use only,
-    so a sweep asks for the same ops in the same first-use order as one
-    without memos (a keyless view picks the same representatives), and a
-    cut sweep does no work past its cut. leq and equal keep the Verdict.
+    Every operation returns a class representative, and `rep(r) is r` for
+    each one, answered without the equivalence. Interning a representative
+    gives it the next index: `_interned` maps its id to that index and
+    `_reps` holds it there, alive, so no id is reused. One store of five
+    memos on those indices serves the ops and the law sweeps alike:
+    `_then[i][k]`, `_meet[i][j]` and `_inv[i]` hold the index of a result,
+    `_equal[i][j]` and `_leq[i][j]` a Verdict. An op on representatives
+    reads its row and calls `rep` only on a span it builds on a miss; a
+    sweep's memo calls the op on a miss, so every span is built inside
+    `compose`, `meet` or `inv` and the ops are asked for in the same
+    first-use order as by a sweep without memos. `equal` gives one frozen
+    Verdict for two spans of one class, decides two distinct
+    representatives once, and passes a span whose class is held by another
+    to the equivalence uncached. `leq` is only memoized for the sweeps, as
+    the equal row of a meet. The identity class of each object and the
+    graph class of each morphism are built and interned once.
     """
 
     def __init__(self, cat, equiv, objects=None):
@@ -64,17 +54,26 @@ class AllegoryView:
         self.equiv = equiv
         self.objects = list(cat.objects()) if objects is None else list(objects)
         self._by_key = {}
-        self._reps = {}        # (dom, cod) -> list of interned reps
-        self._interned = {}    # id -> every interned rep, kept alive so ids stay stable
+        self._buckets = {}     # (dom, cod) -> interned reps, for an equivalence without keys
+        self._interned = {}    # id(rep) -> its index
+        self._reps = []        # index -> rep
         self._homs = {}        # (dom, cod) -> (reps, complete)
         self._undecided = set()  # (dom, cod) where rep met an Unknown comparison
         self._identities = {}  # object -> its identity class
         self._graphs = {}      # morphism -> its graph class
-        self._ops = {}         # (tag, id, ...) -> interned result or equal Verdict
-        self._positions = _Memo(lambda ab: _Positions(self, *ab))
-        self._composites = _Memo(lambda abc: _composites(self, *abc))
+        reps, index = self._reps, self._index
+        self._then = _rows(lambda i, k: index(self.compose(reps[i], reps[k])))
+        self._meet = _rows(lambda i, j: index(self.meet(reps[i], reps[j])))
+        self._inv = _Memo(lambda i: index(self.inv(reps[i])))
+        self._equal = _rows(lambda i, j: self.equal(reps[i], reps[j]))
+        self._leq = _rows(lambda i, j: self._equal[self._meet[i][j]][i])
 
     # representative interning
+
+    def _intern(self, s):
+        self._interned[id(s)] = len(self._reps)
+        self._reps.append(s)
+        return s
 
     def rep(self, s):
         if id(s) in self._interned:
@@ -83,11 +82,9 @@ class AllegoryView:
         if k is not None:
             hit = self._by_key.get(k)
             if hit is None:
-                hit = self.equiv.span_of_key(k)
-                self._by_key[k] = hit
-                self._interned[id(hit)] = hit
+                hit = self._by_key[k] = self._intern(self.equiv.span_of_key(k))
             return hit
-        bucket = self._reps.setdefault((s.dom, s.cod), [])
+        bucket = self._buckets.setdefault((s.dom, s.cod), [])
         for r in bucket:
             v = self.equiv.equal(s, r)
             if v.holds:
@@ -95,8 +92,13 @@ class AllegoryView:
             if v.unknown:
                 self._undecided.add((s.dom, s.cod))
         bucket.append(s)
-        self._interned[id(s)] = s
-        return s
+        return self._intern(s)
+
+    def _index(self, s):
+        """The index of the class of s; only a span that is not interned is
+        passed to `rep`."""
+        i = self._interned.get(id(s))
+        return self._interned[id(self.rep(s))] if i is None else i
 
     # induced operations
 
@@ -115,45 +117,44 @@ class AllegoryView:
 
     def compose(self, r, s):
         """Diagrammatic: r first, then s."""
-        interned = self._interned
-        a = r if id(r) in interned else self.rep(r)
-        b = s if id(s) in interned else self.rep(s)
-        key = ("c", id(a), id(b))
-        hit = self._ops.get(key)
+        i, k = self._index(r), self._index(s)
+        row = self._then[i]
+        hit = row.get(k)
         if hit is None:
-            hit = self._ops[key] = self.rep(span_compose(self.cat, a, b))
-        return hit
+            hit = row[k] = self._index(span_compose(self.cat, self._reps[i], self._reps[k]))
+        return self._reps[hit]
 
     def meet(self, r, s):
-        interned = self._interned
-        a = r if id(r) in interned else self.rep(r)
-        b = s if id(s) in interned else self.rep(s)
-        key = ("m", id(a), id(b))
-        hit = self._ops.get(key)
+        i, j = self._index(r), self._index(s)
+        row = self._meet[i]
+        hit = row.get(j)
         if hit is None:
-            hit = self._ops[key] = self.rep(span_meet(self.cat, a, b))
-        return hit
+            hit = row[j] = self._index(span_meet(self.cat, self._reps[i], self._reps[j]))
+        return self._reps[hit]
 
     def inv(self, r):
-        a = r if id(r) in self._interned else self.rep(r)
-        key = ("i", id(a))
-        hit = self._ops.get(key)
+        i = self._index(r)
+        hit = self._inv.get(i)
         if hit is None:
-            hit = self._ops[key] = self.rep(involution(a))
-        return hit
+            hit = self._inv[i] = self._index(involution(self._reps[i]))
+        return self._reps[hit]
 
     def equal(self, r, s):
         interned = self._interned
-        a = r if id(r) in interned else self.rep(r)
-        b = s if id(s) in interned else self.rep(s)
-        if a is b:
+        i = interned.get(id(r))
+        j = interned.get(id(s))
+        if i is None or j is None:
+            a = r if i is not None else self.rep(r)
+            b = s if j is not None else self.rep(s)
+            if a is not b and (a is not r or b is not s):
+                return self.equiv.equal(r, s)
+            i, j = interned[id(a)], interned[id(b)]
+        if i == j:
             return _SAME_REPRESENTATIVE
-        if a is not r or b is not s:
-            return self.equiv.equal(r, s)
-        key = ("e", id(a), id(b))
-        hit = self._ops.get(key)
+        row = self._equal[i]
+        hit = row.get(j)
         if hit is None:
-            hit = self._ops[key] = self.equiv.equal(a, b)
+            hit = row[j] = self.equiv.equal(r, s)
         return hit
 
     def leq(self, r, s):
@@ -186,43 +187,24 @@ class _Memo(dict):
         return got
 
 
+class _Row(dict):
+    """Row i of a memo of rows: `row[j]` is fill(i, j), filled on first use."""
+
+    __slots__ = ("fill", "i")
+
+    def __init__(self, fill, i):
+        super().__init__()
+        self.fill = fill
+        self.i = i
+
+    def __missing__(self, j):
+        got = self[j] = self.fill(self.i, j)
+        return got
+
+
 def _rows(fill):
-    """A memo of memos: `rows[i][j]` is fill(i, j), filled on first use."""
-    return _Memo(lambda i: _Memo(lambda j: fill(i, j)))
-
-
-class _Positions:
-    """The positional table of hom(a, b): `reps[i]` is the representative
-    at position i, and the memos answer the view's ops on positions."""
-
-    def __init__(self, view, a, b):
-        reps = self.reps = []
-        self.at = {}           # id(rep) -> position
-        meet = self.meet = _rows(lambda i, j: self.pos(view.meet(reps[i], reps[j])))
-        equal = self.equal = _rows(lambda i, j: view.equal(reps[i], reps[j]))
-        self.leq = _rows(lambda i, j: equal[meet[i][j]][i])
-        self.inv = _Memo(lambda i: view._positions[b, a].pos(view.inv(reps[i])))
-
-    def pos(self, r):
-        """The position of the interned representative r."""
-        i = self.at.get(id(r))
-        if i is None:
-            i = self.at[id(r)] = len(self.reps)
-            self.reps.append(r)
-        return i
-
-    def of(self, view, s):
-        """The position of the class of any span s of the hom; only a span
-        without a position yet is passed to `rep`."""
-        i = self.at.get(id(s))
-        return self.pos(view.rep(s)) if i is None else i
-
-
-def _composites(view, a, b, c):
-    """The memo of composites hom(a, b) x hom(b, c) -> hom(a, c) on positions."""
-    left, right = view._positions[a, b].reps, view._positions[b, c].reps
-    out = view._positions[a, c]
-    return _rows(lambda i, k: out.pos(view.compose(left[i], right[k])))
+    """A memo of rows: `rows[i][j]` is fill(i, j), filled on first use."""
+    return _Memo(lambda i: _Row(fill, i))
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -282,30 +264,36 @@ def check_order(view, a, b, triple_budget=None):
     """Meet laws on hom(a, b): idempotence, commutativity, associativity,
     greatest-lower-bound for the derived order, and involution
     preserving meets. Unknown, not Holds, when `triple_budget` cuts the
-    associativity triples or an order comparison is undecided; Fails on
-    the greatest lower bound only where decided comparisons refute it."""
+    pairs or the associativity triples or an order comparison is
+    undecided; Fails on the greatest lower bound only where decided
+    comparisons refute it."""
     reps, complete = view.hom(a, b)
     if not reps:
         raise EnumerationUnavailable(f"no enumerable classes {a!r} -> {b!r}")
-    hom, back = view._positions[a, b], view._positions[b, a]
-    meet, equal, leq, inv, rep = hom.meet, hom.equal, hom.leq, hom.inv, hom.reps
-    idx = [hom.pos(r) for r in reps]
-    verdicts = []
+    meet, equal, leq, inv, rep = view._meet, view._equal, view._leq, view._inv, view._reps
+    idx = [view._interned[id(r)] for r in reps]
+    unknown = None
     for i in idx:
         v = equal[meet[i][i]][i]
         if v.fails:
             return Verdict.no(rep[i], "meet not idempotent")
-        verdicts.append(v)
-    for i, j in itertools.product(idx, repeat=2):
+        if unknown is None and v.unknown:
+            unknown = v
+    # n * n pairs over the budget mean n ** 3 triples over it, so the
+    # triples' cut names both
+    pairs = itertools.product(idx, repeat=2)
+    if triple_budget is not None:
+        pairs = itertools.islice(pairs, triple_budget)
+    for i, j in pairs:
         ij = meet[i][j]
         v = equal[ij][meet[j][i]]
         if v.fails:
             return Verdict.no((rep[i], rep[j]), "meet not commutative")
-        verdicts.append(v)
-        v = back.equal[inv[ij]][back.meet[inv[i]][inv[j]]]
-        if v.fails:
+        w = equal[inv[ij]][meet[inv[i]][inv[j]]]
+        if w.fails:
             return Verdict.no((rep[i], rep[j]), "involution does not preserve meets")
-        verdicts.append(v)
+        if unknown is None and (v.unknown or w.unknown):
+            unknown = v if v.unknown else w
     triples, cut = _within(itertools.product(idx, repeat=3), len(idx) ** 3,
                            triple_budget, f"associativity triples on hom({a!r},{b!r})")
     undecided = False
@@ -314,7 +302,8 @@ def check_order(view, a, b, triple_budget=None):
         v = equal[meet[ij][k]][meet[i][meet[j][k]]]
         if v.fails:
             return Verdict.no((rep[i], rep[j], rep[k]), "meet not associative")
-        verdicts.append(v)
+        if unknown is None and v.unknown:
+            unknown = v
         # t <= r and t <= s against t <= r meet s, in three values
         below_both = leq[k][i].outcome
         if below_both != FAILS:
@@ -326,42 +315,38 @@ def check_order(view, a, b, triple_budget=None):
             undecided = True
         elif below_both != below_meet:
             return Verdict.no((rep[i], rep[j], rep[k]), "meet is not a greatest lower bound")
-    out = combine(verdicts)
-    if out.holds and not complete:
+    if unknown is not None:
+        return unknown
+    if not complete:
         return Verdict.maybe(reason=f"hom({a!r},{b!r}) enumeration incomplete")
-    return _undecided(_cut(out, cut), undecided, a, b)
+    return _undecided(_cut(Verdict.yes(), cut), undecided, a, b)
 
 
 def check_monotone_composition(view, a, b, c, quad_budget=None):
     """r <= r' implies (r then s) <= (r' then s), and on the other side.
     Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads or
     some r <= r' is undecided."""
-    left, right = view._positions[a, b], view._positions[b, c]
-    rs, ss = left.reps, right.reps
-    ac, ca = view._positions[a, c], view._positions[c, a]
-    then, back_then = view._composites[a, b, c], view._composites[c, b, a]
-    ab = [left.pos(r) for r in view.hom(a, b)[0]]
-    bc = [right.pos(s) for s in view.hom(b, c)[0]]
+    then, leq, inv, rep = view._then, view._leq, view._inv, view._reps
+    ab = [view._interned[id(r)] for r in view.hom(a, b)[0]]
+    bc = [view._interned[id(s)] for s in view.hom(b, c)[0]]
     quads, cut = _within(((i, i2, k) for i in ab for i2 in ab for k in bc),
                          len(ab) ** 2 * len(bc), quad_budget,
                          f"monotone-composition quads on ({a!r},{b!r},{c!r})")
-    verdicts = []
+    out = Verdict.yes(reason="no comparable pairs")
     undecided = False
     for i, i2, k in quads:
-        below = left.leq[i][i2].outcome
+        below = leq[i][i2].outcome
         if below != HOLDS:
             undecided = undecided or below == UNKNOWN
             continue
-        v = ac.leq[then[i][k]][then[i2][k]]
+        v = leq[then[i][k]][then[i2][k]]
         if v.fails:
-            return Verdict.no((rs[i], rs[i2], ss[k]), "composition not monotone on the left")
-        verdicts.append(v)
-        w = ca.leq[back_then[right.inv[k]][left.inv[i]]][
-            back_then[right.inv[k]][left.inv[i2]]]
+            return Verdict.no((rep[i], rep[i2], rep[k]), "composition not monotone on the left")
+        w = leq[then[inv[k]][inv[i]]][then[inv[k]][inv[i2]]]
         if w.fails:
-            return Verdict.no((rs[i], rs[i2], ss[k]), "composition not monotone on the right")
-        verdicts.append(w)
-    out = combine(verdicts) if verdicts else Verdict.yes(reason="no comparable pairs")
+            return Verdict.no((rep[i], rep[i2], rep[k]), "composition not monotone on the right")
+        if out.holds:
+            out = v if v.unknown else w if w.unknown else _COMPARED
     return _undecided(_cut(out, cut), undecided, a, b)
 
 
@@ -369,31 +354,26 @@ def check_modular_law(view, triples):
     """Freyd modular law: (s.r) meet t <= s.(r meet (s deg . t)), with
     triples (r: a -> b, s: b -> c, t: a -> c). The spans need not be
     representatives; each is interned where the ops would first intern it."""
-    positions, composites = view._positions, view._composites
-    verdicts = []
+    then, meet, leq, inv, index = view._then, view._meet, view._leq, view._inv, view._index
+    unknown = None
     n = 0
     last_r = last_s = None
     for r, s, t in triples:
         n += 1
         if r is not last_r or s is not last_s:
-            # a sweep varies t fastest, so r and s are placed once per run
-            a, b, c = r.dom, r.cod, s.cod
-            ab, bc, ac = positions[a, b], positions[b, c], positions[a, c]
-            then, back = composites[a, b, c], composites[a, c, b]
-            i, k = ab.of(view, r), bc.of(view, s)
+            # a sweep varies t fastest, so r and s are looked up once per run
+            i, k = index(r), index(s)
             last_r, last_s = r, s
         rs = then[i][k]
-        j = ac.of(view, t)
-        lhs = ac.meet[rs][j]
-        rhs = then[ab.meet[i][back[j][bc.inv[k]]]][k]
-        v = ac.leq[lhs][rhs]
+        j = index(t)
+        lhs = meet[rs][j]
+        rhs = then[meet[i][then[j][inv[k]]]][k]
+        v = leq[lhs][rhs]
         if v.fails:
             return Verdict.no((r, s, t), "modular law fails")
-        verdicts.append(v)
-    out = combine(verdicts)
-    if out.holds:
-        return Verdict.yes(reason=f"{n} triples")
-    return out
+        if unknown is None and v.unknown:
+            unknown = v
+    return Verdict.yes(reason=f"{n} triples") if unknown is None else unknown
 
 
 def check_special_modular_law(view, sample):

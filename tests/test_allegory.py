@@ -55,6 +55,26 @@ def test_check_order_is_unknown_when_the_bound_cuts_its_triples():
     assert check_order(view, 2, 2).holds
 
 
+def test_check_order_cuts_its_pairs_at_the_bound(monkeypatch):
+    # 512 classes on hom(3,3): 262,144 pairs, but only 64 may be swept
+    cat = FinSetCategory(3)
+    view = AllegoryView(cat, make_equivalence(cat, "simE", named_system(cat, "surj-inj")))
+    n = len(view.hom(3, 3)[0])
+    calls = [0]
+    span_meet = allegory.span_meet
+
+    def counted(*args):
+        calls[0] += 1
+        return span_meet(*args)
+
+    monkeypatch.setattr(allegory, "span_meet", counted)
+    v = check_order(view, 3, 3, triple_budget=64)
+    assert v.unknown
+    assert v.reason == "associativity triples on hom(3,3) cut at the bound (64 of 134217728)"
+    # one meet per class, at most three per swept pair and six per swept triple
+    assert 0 < calls[0] <= n + 9 * 64
+
+
 @pytest.mark.parametrize("budget, order_budget, reason", [
     (None, 7, "associativity triples on hom(1,1) cut at the bound (7 of 8)"),
     (8, None, "monotone-composition quads on (1,1,2) cut at the bound (8 of 16)"),
@@ -478,14 +498,36 @@ def _count_rep_calls(view):
     return calls
 
 
+def _op_memos(view):
+    """The binary op memos and the inv memo of a view's store."""
+    return {"then": view._then, "meet": view._meet, "equal": view._equal,
+            "leq": view._leq}, view._inv
+
+
+def _builds(view):
+    """The spans a view has built: one per entry of its compose, meet and
+    inv memos."""
+    rows, inv = _op_memos(view)
+    return sum(len(row) for name in ("then", "meet") for row in rows[name].values()) + len(inv)
+
+
 @pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
 def test_op_keys_name_only_interned_representatives(make_view):
     view = make_view()
     assert allegory_suite(view).holds
-    assert view._ops
-    for tag, *ids in view._ops:
-        assert tag in "cmie" and ids
-        assert all(i in view._interned for i in ids), tag
+
+    def interned(i):
+        return 0 <= i < len(view._reps) and view._interned[id(view._reps[i])] == i
+
+    rows, inv = _op_memos(view)
+    assert inv and all(interned(i) and interned(k) for i, k in inv.items())
+    for name, memo in rows.items():
+        assert memo, name
+        for i, row in memo.items():
+            assert interned(i) and row, name
+            for j, got in row.items():
+                assert interned(j), name
+                assert interned(got) if name in ("then", "meet") else isinstance(got, Verdict)
 
 
 @pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
@@ -504,16 +546,41 @@ def test_ops_on_representatives_call_rep_only_on_a_miss(make_view):
                     for s in homs[(b, c)]:
                         view.compose(r, s)
 
-    def builds():
-        return sum(tag != "e" for tag, *_ in view._ops)
-
     calls = _count_rep_calls(view)
     every_op()
     # one rep call per span built on a miss, none for the arguments
-    assert calls[0] == builds() > 0
+    assert calls[0] == _builds(view) > 0
     calls[0] = 0
     every_op()
     assert calls[0] == 0
+
+
+def test_every_span_is_built_inside_a_view_op(monkeypatch, C, surj_inj):
+    # the suite's memos and the counit's maps build no span themselves, so
+    # a traced view op counts every build
+    view = AllegoryView(C, make_equivalence(C, "simE", surj_inj), objects=range(3))
+    stack, builds = [], []
+
+    def marked(fn, kind):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            if kind == "build":
+                builds.append(stack[-1] if stack else None)
+            stack.append(kind)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in ("compose", "meet", "inv"):
+        monkeypatch.setattr(AllegoryView, name, marked(getattr(AllegoryView, name), "op"))
+    for name in ("span_compose", "span_meet", "involution"):
+        monkeypatch.setattr(allegory, name, marked(getattr(allegory, name), "build"))
+    assert allegory_suite(view).holds
+    assert counit_check(view, surj_inj, 2, 1, apexes=range(3)).holds
+    assert builds and set(builds) == {"op"}
+    assert len(builds) == _builds(view)
 
 
 @pytest.mark.parametrize("make_view", [_finset_view, _chain_view])
@@ -760,7 +827,7 @@ class _Recorder:
 
 def _state(view):
     """The representatives, undecided homs and decider calls a view has."""
-    return list(view._interned.values()), view._undecided, view.equiv.log
+    return list(view._reps), view._undecided, view.equiv.log
 
 
 def _run_sweep(laws, name, sweep, scripted, objs, budget):

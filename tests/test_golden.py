@@ -30,6 +30,8 @@ COMMANDS = {
     "finset-check-allegory-iso-all-simEo": ["check-allegory", "--category", "finset",
                                             "--system", "iso-all", "--relation", "simEo",
                                             "--max-size", "2"],
+    # cut on hom(2,3) at the default bound, with the pairs of hom(3,3) cut too
+    "finset-check-allegory-3": ["check-allegory", "--category", "finset", "--max-size", "3"],
     "finset-ebullet-iso-all": ["ebullet", "--category", "finset", "--system", "iso-all",
                                "--max-size", "2"],
     "finset-ebullet-surj-inj-3": ["ebullet", "--category", "finset", "--system", "surj-inj",
