@@ -45,8 +45,9 @@ class AllegoryView:
     Verdict for two spans of one class, decides two distinct
     representatives once, and passes a span whose class is held by another
     to the equivalence uncached. `leq` is only memoized for the sweeps, as
-    the equal row of a meet. The identity class of each object and the
-    graph class of each morphism are built and interned once.
+    the equal row of a meet. The identity class of each object, the graph
+    class of each morphism and the class listing of each hom are memos
+    too, each built and interned on first use.
     """
 
     def __init__(self, cat, equiv, objects=None):
@@ -57,10 +58,10 @@ class AllegoryView:
         self._buckets = {}     # (dom, cod) -> interned reps, for an equivalence without keys
         self._interned = {}    # id(rep) -> its index
         self._reps = []        # index -> rep
-        self._homs = {}        # (dom, cod) -> (reps, complete)
         self._undecided = set()  # (dom, cod) where rep met an Unknown comparison
-        self._identities = {}  # object -> its identity class
-        self._graphs = {}      # morphism -> its graph class
+        self._homs = _Memo(lambda ab: self._list_hom(*ab))
+        self._identities = _Memo(lambda a: self.rep(identity_span(self.cat, a)))
+        self._graphs = _Memo(lambda f: self.rep(graph(self.cat, f)))
         reps, index = self._reps, self._index
         self._then = _rows(lambda i, k: index(self.compose(reps[i], reps[k])))
         self._meet = _rows(lambda i, j: index(self.meet(reps[i], reps[j])))
@@ -103,17 +104,11 @@ class AllegoryView:
     # induced operations
 
     def identity(self, a):
-        got = self._identities.get(a)
-        if got is None:
-            got = self._identities[a] = self.rep(identity_span(self.cat, a))
-        return got
+        return self._identities[a]
 
     def of_morphism(self, f):
         """The graph class [1, f]."""
-        got = self._graphs.get(f)
-        if got is None:
-            got = self._graphs[f] = self.rep(graph(self.cat, f))
-        return got
+        return self._graphs[f]
 
     def compose(self, r, s):
         """Diagrammatic: r first, then s."""
@@ -164,12 +159,12 @@ class AllegoryView:
     def hom(self, a, b):
         """The classes a -> b in the order of their first candidate, and
         whether no class was missed nor comparison Unknown at (a, b)."""
-        got = self._homs.get((a, b))
-        if got is None:
-            candidates, complete = enumerate_hom_classes(self.cat, self.equiv, a, b)
-            reps = list({id(r): r for r in map(self.rep, candidates)}.values())
-            got = self._homs[(a, b)] = (reps, complete and (a, b) not in self._undecided)
-        return got
+        return self._homs[a, b]
+
+    def _list_hom(self, a, b):
+        candidates, complete = enumerate_hom_classes(self.cat, self.equiv, a, b)
+        reps = list({id(r): r for r in map(self.rep, candidates)}.values())
+        return reps, complete and (a, b) not in self._undecided
 
 
 class _Memo(dict):
@@ -731,23 +726,6 @@ def jointly_monic(view, h, k):
     return view.equal(view.meet(kp_h, kp_k), view.identity(h.dom))
 
 
-def enumerate_map_relations(mapcat, a, b):
-    """Jointly monic spans of maps a <- R -> b with apexes among the
-    objects of the map category, up to span isomorphism inside it."""
-    view = mapcat.view
-    found = []
-    for w in mapcat.objects():
-        for h in mapcat.hom(w, a):
-            for k in mapcat.hom(w, b):
-                if not jointly_monic(view, h, k).holds:
-                    continue
-                if any(_map_span_isomorphic(mapcat, (h, k), other)
-                       for other in found):
-                    continue
-                found.append((h, k))
-    return found
-
-
 def _mediator(view, u, v, p, q):
     """The map z with z then p ~ u and z then q ~ v, read off the allegory
     as (u then p deg) meet (v then q deg), or None when that class is no
@@ -788,21 +766,40 @@ def _not_bijective(complete, witness, reason):
 def counit_check(view, system, a, b, apexes=None):
     """Bijectivity of the counit on hom(a, b) plus both triangular
     identities on the sampled maps and classes. Unknown, not Holds or
-    Fails on bijectivity, when a hom it listed was incomplete."""
+    Fails on bijectivity, when a hom it listed was incomplete.
+
+    Each jointly monic map span is filed under its counit image, an
+    interned class. Isomorphic spans share an image, so a span is tested
+    only against the first span filed there, its holder: one isomorphic to
+    it is the same relation, and the first that is not is a clash, which
+    refutes injectivity. The witness is the holder and clash of the image
+    whose holder came first."""
     mc = map_category(view, system, apexes)
-    rels = enumerate_map_relations(mc, a, b)
-    images = [counit(view, h, k) for h, k in rels]
-    for i, j in itertools.combinations(range(len(images)), 2):
-        if view.equal(images[i], images[j]).holds:
-            return _not_bijective(mc.complete, (rels[i], rels[j]), "counit not injective")
+    holders, clashes = {}, {}  # id(image) -> its first span; -> its first clash
+    for w in mc.objects():
+        hs = mc.hom(w, a)
+        ks = mc.hom(w, b) if hs else ()  # a hom no span uses is not listed
+        for h in hs:
+            for k in ks:
+                if not jointly_monic(view, h, k).holds:
+                    continue
+                image = id(counit(view, h, k))
+                holder = holders.get(image)
+                if holder is None:
+                    holders[image] = (h, k)
+                elif image not in clashes and not _map_span_isomorphic(mc, (h, k), holder):
+                    clashes[image] = (h, k)
+    for image, holder in holders.items():
+        if image in clashes:
+            return _not_bijective(mc.complete, (holder, clashes[image]), "counit not injective")
     classes, complete = view.hom(a, b)
     complete_all = complete and mc.complete
     for r in classes:
-        if not any(view.equal(r, im).holds for im in images):
+        if id(r) not in holders:
             return _not_bijective(complete_all, r,
                                   "counit not surjective onto the hom classes")
-    if len(images) != len(classes):
-        return _not_bijective(complete_all, (len(images), len(classes)),
+    if len(holders) != len(classes):
+        return _not_bijective(complete_all, (len(holders), len(classes)),
                               "counit image count mismatch")
 
     verdicts = []

@@ -18,7 +18,12 @@ a hom for an iso, the reference for `spanalg.systems._check_uniqueness`.
 `is_effective_retraction` takes a function table r: K -> A as a plain
 tuple and searches every r' for a kernel-pair cone, the reference for the
 retractions that `spanalg.allegory.check_allegorical_criterion` reads off
-kernel pairs.
+kernel pairs. `counit_bijectivity` keeps each jointly monic map span that
+no earlier kept span is isomorphic to, then tests the counit's images
+pairwise, every class against every image, and their counts, the
+reference for the single pass of `spanalg.allegory.counit_check`; it asks
+`spanalg.allegory._map_span_isomorphic` by module attribute, so a patch
+of that function reaches both.
 
 The law sweeps at the end (`check_order`, `check_monotone_composition`,
 `check_modular_law`, `modular_triples`, `check_special_modular_law` and
@@ -29,6 +34,7 @@ sweep, with no positional memo; they are the references for the sweeps of
 
 import itertools
 
+from spanalg import allegory
 from spanalg.errors import EnumerationUnavailable
 from spanalg.verdict import FAILS, HOLDS, UNKNOWN, Verdict, combine
 
@@ -186,6 +192,47 @@ def map_span_isomorphic(mapcat, s1, s2):
                 and view.equal(view.compose(i, k2), k1).holds:
             return True
     return False
+
+
+def enumerate_map_relations(mapcat, a, b):
+    """Jointly monic spans of maps a <- R -> b with apexes among the
+    objects of the map category, each dropped when it is isomorphic to an
+    earlier kept span."""
+    view = mapcat.view
+    found = []
+    for w in mapcat.objects():
+        for h in mapcat.hom(w, a):
+            for k in mapcat.hom(w, b):
+                if not allegory.jointly_monic(view, h, k).holds:
+                    continue
+                if any(allegory._map_span_isomorphic(mapcat, (h, k), other)
+                       for other in found):
+                    continue
+                found.append((h, k))
+    return found
+
+
+def counit_bijectivity(view, system, a, b, apexes=None):
+    """Bijectivity of the counit on hom(a, b), pass by pass over the kept
+    map spans: the Fails or Unknown of the first pass that refutes it, else
+    Holds with the reason of a bijective `counit_check`."""
+    mc = allegory.map_category(view, system, apexes)
+    rels = enumerate_map_relations(mc, a, b)
+    images = [allegory.counit(view, h, k) for h, k in rels]
+    for i, j in itertools.combinations(range(len(images)), 2):
+        if view.equal(images[i], images[j]).holds:
+            return allegory._not_bijective(mc.complete, (rels[i], rels[j]),
+                                           "counit not injective")
+    classes, complete = view.hom(a, b)
+    complete_all = complete and mc.complete
+    for r in classes:
+        if not any(view.equal(r, im).holds for im in images):
+            return allegory._not_bijective(complete_all, r,
+                                           "counit not surjective onto the hom classes")
+    if len(images) != len(classes):
+        return allegory._not_bijective(complete_all, (len(images), len(classes)),
+                                       "counit image count mismatch")
+    return Verdict.yes(reason=f"bijection on {len(classes)} classes")
 
 
 def check_uniqueness(system, carrier):

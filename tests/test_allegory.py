@@ -15,7 +15,7 @@ from spanalg import (FinSetCategory, Span, TabulationFailed, ThinCategory, alleg
 from spanalg import allegory, cli
 from spanalg.allegory import (AllegoryView, MapCategory, check_m_self_tabulation,
                               check_monotone_composition, counit_check,
-                              enumerate_map_relations, jointly_monic, modular_triples)
+                              jointly_monic, modular_triples)
 from spanalg.classes import e_bullet, e_circ, m_star
 from spanalg.spans import relation_spans
 from spanalg.systems import default_carrier
@@ -341,6 +341,12 @@ def test_counit_unknown_when_a_class_hom_is_incomplete(C, surj_inj):
     assert v.reason == "counit image count mismatch on an incomplete hom enumeration"
 
 
+def _counit_apexes(cat, objs, a, b):
+    """The carrier objects, then the apexes of relations a -> b beyond
+    them, as `map-counit` lists them."""
+    return list(dict.fromkeys(objs + [s.apex for s in relation_spans(cat, a, b)]))
+
+
 @pytest.mark.parametrize("argv, merges", [
     (["--category", "finset", "--max-size", "2", "--system", "surj-inj",
       "--relation", "simE"], True),
@@ -348,13 +354,14 @@ def test_counit_unknown_when_a_class_hom_is_incomplete(C, surj_inj):
       "--relation", "simEbullet"], True),
     (["--category", "finset", "--max-size", "2", "--system", "all-iso",
       "--relation", "simE"], True),
-    # a chain has no iso but the identities, so no two map spans merge
+    # a chain has no iso but the identities, so no two of its map spans
+    # share a counit image and the oracle is never asked
     (["--category", "thin", "--max-size", "3", "--system", "iso-all",
       "--relation", "simE"], False),
 ])
 def test_map_relations_match_the_hom_sweep_oracle(argv, merges, monkeypatch):
-    # the mediator keeps the same relations over maps, in the same order, as
-    # sweeping the map hom between the apexes for an iso
+    # the mediator gives the counit the same verdicts as sweeping the map
+    # hom between the apexes for an iso
     ctx = cli.Context(cli.build_parser().parse_args(["map-counit"] + argv))
     view, objs = ctx.view(), ctx.objects()
     isomorphic = []
@@ -364,13 +371,14 @@ def test_map_relations_match_the_hom_sweep_oracle(argv, merges, monkeypatch):
         return isomorphic[-1]
 
     for a, b in itertools.product(objs, repeat=2):
-        apexes = list(dict.fromkeys(objs + [s.apex for s in relation_spans(ctx.cat, a, b)]))
-        got = enumerate_map_relations(map_category(view, ctx.system, apexes), a, b)
+        apexes = _counit_apexes(ctx.cat, objs, a, b)
+        got = counit_check(view, ctx.system, a, b, apexes)
         with monkeypatch.context() as m:
             m.setattr(allegory, "_map_span_isomorphic", oracle)
-            want = enumerate_map_relations(map_category(view, ctx.system, apexes), a, b)
-        assert got == want, (a, b)
-    assert isomorphic and any(isomorphic) == merges
+            want = counit_check(view, ctx.system, a, b, apexes)
+        assert (got.outcome, got.reason, repr(got.witness)) == \
+            (want.outcome, want.reason, repr(want.witness)), (a, b)
+    assert any(isomorphic) == merges
 
 
 @pytest.mark.parametrize("system, relation", [
@@ -405,6 +413,55 @@ def test_counit_lists_no_map_hom_between_apexes(small_view, surj_inj, monkeypatc
     v = counit_check(small_view, surj_inj, 2, 2, apexes=range(5))
     assert v.holds and v.reason == "bijection on 16 classes"
     assert asked == {(w, 2) for w in range(5)}
+
+
+def test_counit_tests_a_span_only_against_its_images_first_span(small_view, surj_inj,
+                                                                 monkeypatch):
+    # 65 jointly monic map spans 2 <- w -> 2 over apexes 0..4 give 16
+    # classes: one isomorphism test per span whose image was met before.
+    # The triangular identities tabulate each class, one more monic pair each.
+    monic, isomorphic = [], []
+    monic_test, iso_test = allegory.jointly_monic, allegory._map_span_isomorphic
+
+    def counted_monic(view, h, k):
+        v = monic_test(view, h, k)
+        monic.append(v.holds)
+        return v
+
+    def counted_iso(mc, s1, s2):
+        isomorphic.append(iso_test(mc, s1, s2))
+        return isomorphic[-1]
+
+    monkeypatch.setattr(allegory, "jointly_monic", counted_monic)
+    monkeypatch.setattr(allegory, "_map_span_isomorphic", counted_iso)
+    v = counit_check(small_view, surj_inj, 2, 2, apexes=range(5))
+    assert v.holds and v.reason == "bijection on 16 classes"
+    assert sum(monic) == 65 + 16
+    assert len(isomorphic) == 49 and all(isomorphic)
+
+
+def test_counit_not_injective_names_the_first_clash(small_view, surj_inj, monkeypatch):
+    # with no merge allowed, the first image met twice is that of
+    # ([0,0], 1) and then ([0,0], swap), two spans of one relation on 2
+    def g(table):
+        return small_view.of_morphism(fin(2, 2, table))
+
+    monkeypatch.setattr(allegory, "_map_span_isomorphic", lambda mc, s1, s2: False)
+    v = counit_check(small_view, surj_inj, 2, 2, apexes=range(5))
+    assert v.fails and v.reason == "counit not injective"
+    assert v.witness == ((g((0, 0)), g((0, 1))), (g((0, 0)), g((1, 0))))
+
+    # a map hom that was listed incomplete makes the clash only Unknown
+    hom = MapCategory.hom
+
+    def incomplete_hom(self, a, b):
+        self.complete = False
+        return hom(self, a, b)
+
+    monkeypatch.setattr(MapCategory, "hom", incomplete_hom)
+    v = counit_check(small_view, surj_inj, 2, 2, apexes=range(5))
+    assert v.unknown
+    assert v.reason == "counit not injective on an incomplete hom enumeration"
 
 
 # -- interning ---------------------------------------------------------------------
@@ -756,6 +813,56 @@ def test_map_homs_are_the_classes_is_map_accepts(name):
         assert len(got) == len(want), (a, b)
         assert {id(r) for r in got} == {id(r) for r in want}, (a, b)
         assert mc.complete == complete, (a, b)
+
+
+# name -> (category, system, relation): the views of MAP_VIEWS, and the
+# 4-chain under all-iso
+COUNIT_VIEWS = {f"finset-{system}-{relation}": (functools.partial(FinSetCategory, 2),
+                                                system, relation)
+                for system in ("surj-inj", "iso-all", "all-iso")
+                for relation in ("simE", "simEo", "simEbullet", "approx")}
+COUNIT_VIEWS.update({f"thin-{system}-{relation}": (functools.partial(ThinCategory.chain, 4),
+                                                   system, relation)
+                     for system, relation in [("iso-all", "simE"), ("iso-all", "simEo"),
+                                              ("iso-all", "simEbullet"), ("all-iso", "simE")]})
+
+
+@pytest.mark.parametrize("merges", [True, False], ids=["mediator", "no-merge"])
+@pytest.mark.parametrize("name", sorted(COUNIT_VIEWS))
+def test_counit_check_matches_the_pass_by_pass_reference(name, merges, monkeypatch):
+    """counit_check gives the outcome, reason and witness of the reference
+    passes on every hom, each on a view of its own; with no merge allowed,
+    every image met twice is a clash, so the witness rule is exercised."""
+    make_cat, system, relation = COUNIT_VIEWS[name]
+    cat = make_cat()
+    equiv, system = _equivalence(cat, system, relation), named_system(cat, system)
+    if not merges:
+        monkeypatch.setattr(allegory, "_map_span_isomorphic", lambda mc, s1, s2: False)
+    view, reference = AllegoryView(cat, equiv), AllegoryView(cat, equiv)
+    outcomes = set()
+    for a, b in itertools.product(view.objects, repeat=2):
+        if merges and name == "finset-all-iso-approx" and (a, b) == (2, 2):
+            # bijective, and then its triangular identities take over 90 s
+            # in approx's equal; without merges it Fails on injectivity first
+            continue
+        apexes = _counit_apexes(cat, view.objects, a, b)
+        try:
+            got = counit_check(view, system, a, b, apexes)
+        except TabulationFailed as exc:
+            # only the triangular identities tabulate
+            got = Verdict.no(exc.args, "tabulation failed")
+        want = oracles.counit_bijectivity(reference, system, a, b, apexes)
+        if want.holds:
+            # bijective: counit_check goes on to the triangular identities
+            assert not (got.reason or "").startswith("counit "), (a, b, got)
+            assert not got.holds or got.reason == want.reason, (a, b)
+        else:
+            assert (got.outcome, got.reason, repr(got.witness)) == \
+                (want.outcome, want.reason, repr(want.witness)), (a, b)
+        outcomes.add(want.reason.split(" on ")[0])
+    # under iso-all no two map spans of the chain share an image
+    if not merges and not name.startswith("thin-iso-all"):
+        assert "counit not injective" in outcomes
 
 
 # -- the positional sweeps against the object-level references ------------------------

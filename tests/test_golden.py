@@ -42,6 +42,9 @@ COMMANDS = {
                                  "--max-size", "3"],
     "finset-map-counit": ["map-counit", "--category", "finset", "--max-size", "1"],
     "finset-map-counit-2": ["map-counit", "--category", "finset", "--max-size", "2"],
+    # the counit misses four hom classes, so the run Fails on surjectivity
+    "finset-map-counit-iso-all": ["map-counit", "--category", "finset", "--system", "iso-all",
+                                  "--max-size", "2"],
     "finset-map-counit-iso-all-simEbullet": ["map-counit", "--category", "finset",
                                              "--system", "iso-all", "--relation",
                                              "simEbullet", "--max-size", "2"],
