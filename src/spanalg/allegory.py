@@ -48,6 +48,16 @@ class AllegoryView:
     the equal row of a meet. The identity class of each object, the graph
     class of each morphism and the class listing of each hom are memos
     too, each built and interned on first use.
+
+    A span with a key takes the class of its key. A span without one is
+    compared with `equal` against the representatives of its hom in order,
+    and joins the first that holds, else becomes one. That result is kept
+    under the span's value in `_seen`, so a span equal by value to one
+    already seen takes the same class with no comparison. This is the
+    scan's own result: `equal` depends only on span values, and relates a
+    span to its copy, so a second scan would stop at the same
+    representative after the same comparisons, and any Unknown among them
+    is already in `_undecided`.
     """
 
     def __init__(self, cat, equiv, objects=None):
@@ -56,6 +66,7 @@ class AllegoryView:
         self.objects = list(cat.objects()) if objects is None else list(objects)
         self._by_key = {}
         self._buckets = {}     # (dom, cod) -> interned reps, for an equivalence without keys
+        self._seen = _Memo(self._scan)  # span value -> its rep, for an equivalence without keys
         self._interned = {}    # id(rep) -> its index
         self._reps = []        # index -> rep
         self._undecided = set()  # (dom, cod) where rep met an Unknown comparison
@@ -85,6 +96,11 @@ class AllegoryView:
             if hit is None:
                 hit = self._by_key[k] = self._intern(self.equiv.span_of_key(k))
             return hit
+        return self._seen[s]
+
+    def _scan(self, s):
+        """The first rep in the bucket of s that `equal` relates to s, or s
+        itself, interned, when none is."""
         bucket = self._buckets.setdefault((s.dom, s.cod), [])
         for r in bucket:
             v = self.equiv.equal(s, r)

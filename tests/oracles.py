@@ -8,6 +8,9 @@ limits as given and runs one commutative cube per member of M, the
 reference for the cube search of `spanalg.classes.conjugates`.
 `group_by_equal` groups spans with pairwise calls to an equivalence's
 `equal`, the reference for the class listing of `AllegoryView.hom`.
+`ScanningView` is an `AllegoryView` whose `rep` scans a keyless span's
+bucket with `equal` on every call, the reference for the view's memo of
+spans by value.
 `composition_closure` and `pullback_closure` recompute every member in
 every round, the references for the worklist fixpoint of
 `spanalg.classes`. `map_span_isomorphic` sweeps a map category's hom
@@ -177,6 +180,32 @@ def group_by_equal(equiv, spans):
         else:
             reps.append(s)
     return reps, complete
+
+
+class ScanningView(allegory.AllegoryView):
+    """An AllegoryView with no memo of spans by value: a span that is not
+    interned and has no key is compared with `equal` against its hom's
+    representatives in order, every time it is met, and joins the first
+    that holds, else becomes one."""
+
+    def rep(self, s):
+        if id(s) in self._interned:
+            return s
+        k = self.equiv.key(s)
+        if k is not None:
+            hit = self._by_key.get(k)
+            if hit is None:
+                hit = self._by_key[k] = self._intern(self.equiv.span_of_key(k))
+            return hit
+        bucket = self._buckets.setdefault((s.dom, s.cod), [])
+        for r in bucket:
+            v = self.equiv.equal(s, r)
+            if v.holds:
+                return r
+            if v.unknown:
+                self._undecided.add((s.dom, s.cod))
+        bucket.append(s)
+        return self._intern(s)
 
 
 def map_span_isomorphic(mapcat, s1, s2):

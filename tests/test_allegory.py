@@ -17,7 +17,7 @@ from spanalg.allegory import (AllegoryView, MapCategory, check_m_self_tabulation
                               check_monotone_composition, counit_check,
                               jointly_monic, modular_triples)
 from spanalg.classes import e_bullet, e_circ, m_star
-from spanalg.spans import relation_spans
+from spanalg.spans import enumerate_hom_classes, relation_spans
 from spanalg.systems import default_carrier
 from spanalg.verdict import Verdict
 
@@ -972,6 +972,54 @@ def test_suite_interns_as_the_reference_suite_does(name):
     got, want = allegory.allegory_suite(views[0]), oracles.allegory_suite(views[1])
     assert (got.outcome, got.reason) == (want.outcome, want.reason)
     assert _state(views[0]) == _state(views[1])
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_VIEWS))
+def test_suite_interns_as_a_view_that_scans_on_every_call(name):
+    """A span met again by value takes the class the scan gave it, so the
+    representatives, undecided homs and verdict match a view that scans."""
+    cat, equiv = ORDER_VIEWS[name]()
+    view, reference = AllegoryView(cat, equiv), oracles.ScanningView(cat, equiv)
+    got, want = allegory.allegory_suite(view), allegory.allegory_suite(reference)
+    assert (got.outcome, got.reason, repr(got.witness)) == \
+        (want.outcome, want.reason, repr(want.witness))
+    assert view._reps == reference._reps
+    assert view._undecided == reference._undecided
+
+
+def test_suite_compares_no_pair_of_span_values_twice():
+    """A span met again by value is not compared again, so on the keyless
+    5-chain the suite asks `equal` about each pair of values once."""
+    cat, equiv = _chain("simE", 5)
+    view = AllegoryView(cat, _Recorder(equiv))
+    assert allegory.allegory_suite(view).holds
+    pairs = [entry[1:] for entry in view.equiv.log if entry[0] == "equal"]
+    assert len(set(pairs)) == len(pairs) == 100
+
+
+# name -> (category, system, relation), where no class has a key
+KEYLESS_VIEWS = {f"thin-{n}-{system}-{relation}": (functools.partial(ThinCategory.chain, n),
+                                                   system, relation)
+                 for n in range(1, 6) for system in ("iso-all", "all-iso")
+                 for relation in ("simE", "simEo", "simEbullet")}
+KEYLESS_VIEWS.update({f"finset-{n}-{system}-{relation}": (functools.partial(FinSetCategory, n),
+                                                          system, relation)
+                      for n in range(3) for system in ("surj-inj", "iso-all", "all-iso")
+                      for relation in ("simEo", "simEbullet")})
+KEYLESS_VIEWS["finset-1-approx"] = (functools.partial(FinSetCategory, 1), "surj-inj", "approx")
+
+
+@pytest.mark.parametrize("name", sorted(KEYLESS_VIEWS))
+def test_equal_relates_each_candidate_span_to_its_copy(name):
+    """The view's memo of spans by value rests on this: `equal` Holds
+    between a span and a span equal to it by value."""
+    make_cat, system, relation = KEYLESS_VIEWS[name]
+    cat = make_cat()
+    equiv = _equivalence(cat, system, relation)
+    for a, b in itertools.product(cat.objects(), repeat=2):
+        for s in enumerate_hom_classes(cat, equiv, a, b)[0]:
+            assert equiv.key(s) is None
+            assert equiv.equal(s, Span(s.apex, s.left, s.right)).holds, s
 
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))

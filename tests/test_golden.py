@@ -49,6 +49,9 @@ COMMANDS = {
                                              "--system", "iso-all", "--relation",
                                              "simEbullet", "--max-size", "2"],
     "thin-check-allegory": ["check-allegory", "--category", "thin", "--max-size", "4"],
+    # the 5-chain under iso-all, whose classes have no key and are grouped by equal
+    "thin-check-allegory-5": ["check-allegory", "--category", "thin", "--system", "iso-all",
+                              "--max-size", "5"],
     "thin-check-allegory-simEo": ["check-allegory", "--category", "thin", "--relation",
                                   "simEo", "--max-size", "3"],
     "thin-tabulate": ["tabulate", "--category", "thin", "--max-size", "3"],
