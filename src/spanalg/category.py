@@ -2,9 +2,13 @@
 
 A Category exposes object/morphism enumeration, composition, identities
 and the three limit constructors used everywhere else (terminal, binary
-product, pullback).  Every morphism value carries ``dom`` and ``cod``
-attributes.  Limits are *chosen*: each instance fixes a deterministic
-construction so results replay bit-for-bit.
+product, pullback).  A morphism value is immutable and hashable and
+carries ``dom`` and ``cod`` attributes; the shipped instances build
+morphisms, spans and limit results as ``NamedTuple``s, whose tuple hash
+and equality run in C.  A value's hash fixes the iteration order of the
+closure sets that hold it, and so which member a sweep meets first.
+Limits are *chosen*: each instance fixes a deterministic construction so
+results replay bit-for-bit.
 
 Generic morphism predicates (mono, epi, split epi, iso) fall back to
 bounded hom-enumeration over a probe carrier; instances override them
@@ -13,23 +17,20 @@ predicate: they are the first legs of kernel pairs, up to iso, so a
 check over them reads them off `kernel_pair`.
 """
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import CodomainMismatch, DomainMismatch, LimitUnavailable
 from .verdict import Verdict
 
 
-@dataclass
-class PullbackResult:
+class PullbackResult(NamedTuple):
     apex: Any
     p1: Any  # apex -> dom(f)
     p2: Any  # apex -> dom(g)
     mediate: Callable[[Any, Any], Any]
 
 
-@dataclass
-class ProductResult:
+class ProductResult(NamedTuple):
     apex: Any
     pi1: Any
     pi2: Any

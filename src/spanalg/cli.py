@@ -54,8 +54,6 @@ def _parser(cls):
         _common_flags(sp)
     rp = sub.add_parser("replay")
     rp.add_argument("--file", required=True, help="report file to re-verify")
-    rp.add_argument("--out", default=None)
-    rp.add_argument("--format", choices=("json", "text"), default="text")
     return p
 
 
@@ -210,8 +208,11 @@ class Reporter:
     def emit(self, args):
         payload = "\n".join(json.dumps(l, sort_keys=True) for l in self.lines)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(payload + "\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
         if args.format == "json":
             print(payload)
         else:
@@ -484,13 +485,13 @@ def main(argv=None):
         ctx = Context(args)
         rep = Reporter(ctx)
         COMMANDS[args.command](ctx, rep)
+        return rep.emit(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except SpanalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return rep.emit(args)
 
 
 if __name__ == "__main__":

@@ -7,15 +7,14 @@ product categories, pullbacks are the evident subcategories of products.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import Category, ProductResult, PullbackResult
 from .tablecat import TableCategory, normal_table, one_object
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class Functor:
+class Functor(NamedTuple):
     dom: TableCategory
     cod: TableCategory
     omap: tuple   # (obj, obj') sorted

@@ -5,16 +5,15 @@ chosen limits are built on canonically ordered tuple encodings, so
 pullbacks, products and factorizations are deterministic.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product as iproduct
+from typing import NamedTuple
 
 from .category import Category, ProductResult, PullbackResult
 from .errors import DomainMismatch
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class FinMor:
+class FinMor(NamedTuple):
     dom: int
     cod: int
     table: tuple

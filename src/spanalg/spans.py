@@ -14,16 +14,15 @@ quotient relations implemented here:
                 allegorical equivalence).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .classes import Carrier, first_outside
 from .errors import NotParallel
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     apex: object
     left: object   # apex -> dom
     right: object  # apex -> cod

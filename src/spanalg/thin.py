@@ -5,14 +5,13 @@ necessarily preorders, so this is the honest family of genuinely finite
 fully-limit-complete instances.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import Category, ProductResult, PullbackResult
 from .errors import DomainMismatch, LimitUnavailable
 
 
-@dataclass(frozen=True)
-class ThinMor:
+class ThinMor(NamedTuple):
     dom: object
     cod: object
 

@@ -39,17 +39,28 @@ class Verdict:
         # Deliberately undefined: callers must test .holds / .fails.
         raise TypeError("Verdict is three-valued; use .holds, .fails or .unknown")
 
+    # A bare yes() or no() returns one shared instance each (made below):
+    # a Verdict is frozen, so no caller can alter what another one holds.
+
     @staticmethod
     def yes(witness=None, reason=""):
+        if witness is None and not reason:
+            return _YES
         return Verdict(HOLDS, witness, reason)
 
     @staticmethod
     def no(witness=None, reason=""):
+        if witness is None and not reason:
+            return _NO
         return Verdict(FAILS, witness, reason)
 
     @staticmethod
     def maybe(reason=""):
         return Verdict(UNKNOWN, None, reason)
+
+
+_YES = Verdict(HOLDS)
+_NO = Verdict(FAILS)
 
 
 def combine(verdicts):

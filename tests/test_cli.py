@@ -221,6 +221,16 @@ def test_replay_flags_tampered_report(tmp_path, capsys):
     assert run(["replay", "--file", str(out)]) == 1
 
 
+@pytest.mark.parametrize("flag", [["--out", "r2.jsonl"], ["--format", "json"]])
+def test_replay_rejects_report_flags(flag, tmp_path, capsys):
+    report = tmp_path / "r.jsonl"
+    report.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--file", str(report), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 ONE_OBJECT = {"objects": ["x"], "morphisms": [{"id": "i", "dom": "x", "cod": "x"}],
               "identities": {"x": "i"}, "composition": []}
 
@@ -252,6 +262,10 @@ INPUT_ERRORS = {
                               ":objects/0: ['x'] is not a string or number label"))},
     "table-missing-file": (["validate", "--category", "table", "--file", "{table}.missing"],
                            "parse error: {table}.missing: [Errno 2] No such file"),
+    "out-unwritable": (["check-allegory", "--category", "thin", "--max-size", "1",
+                        "--out", "{report}.missing/x.jsonl"],
+                       "error: cannot write --out {report}.missing/x.jsonl: "
+                       "No such file or directory"),
     "replay-missing-file": (["replay", "--file", "{report}.missing"],
                             "parse error: {report}.missing: [Errno 2] No such file"),
     "replay-not-json": (["replay", "--file", "{report}"], "parse error: {report}:2: not JSON"),

@@ -30,3 +30,25 @@ def test_combine_keeps_first_failure_witness():
 
 def test_combine_empty_holds():
     assert combine([]).holds
+
+
+def test_bare_yes_and_no_are_shared():
+    assert Verdict.yes() is Verdict.yes()
+    assert Verdict.no() is Verdict.no()
+    assert Verdict.yes() is not Verdict.no()
+    assert Verdict.yes().holds and Verdict.no().fails
+
+
+@pytest.mark.parametrize("make", [Verdict.yes, Verdict.no])
+def test_a_witness_or_reason_gives_a_new_verdict(make):
+    bare = make()
+    for v in (make(witness=3), make(reason="r"), make(3, "r")):
+        assert v is not bare
+        assert v.outcome == bare.outcome
+    assert make(witness=3) is not make(witness=3)
+    assert make(reason="r").reason == "r"
+
+
+def test_bad_outcome_is_rejected():
+    with pytest.raises(ValueError):
+        Verdict("bogus")
