@@ -11,7 +11,7 @@ Composition is written diagrammatically throughout: compose(r, s) is
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import Category, PullbackResult
 from .errors import EnumerationUnavailable, LimitUnavailable, NoTerminal, TabulationFailed
@@ -220,8 +220,7 @@ def _rows(fill):
 
 # -- witnesses -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapWitness:
+class MapWitness(NamedTuple):
     r: Span
     unit_ineq: Verdict     # 1 <= r deg . r  (totality)
     counit_ineq: Verdict   # r . r deg <= 1  (determinism)
@@ -231,8 +230,7 @@ class MapWitness:
         return combine([self.unit_ineq, self.counit_ineq])
 
 
-@dataclass(frozen=True)
-class Tabulation:
+class Tabulation(NamedTuple):
     f: MapWitness          # leg into the domain
     g: MapWitness          # leg into the codomain
     target: Span
@@ -240,8 +238,7 @@ class Tabulation:
     joint_monicity: Verdict  # (f deg . f) meet (g deg . g) ~ 1
 
 
-@dataclass(frozen=True)
-class UnitWitness:
+class UnitWitness(NamedTuple):
     obj: object
     maximality: Verdict
     totality: tuple        # ((object, Verdict), ...)

@@ -5,8 +5,9 @@ and the three limit constructors used everywhere else (terminal, binary
 product, pullback).  A morphism value is immutable and hashable and
 carries ``dom`` and ``cod`` attributes; the shipped instances build
 morphisms, spans and limit results as ``NamedTuple``s, whose tuple hash
-and equality run in C.  A value's hash fixes the iteration order of the
-closure sets that hold it, and so which member a sweep meets first.
+and equality run in C, as are verdicts, classes, witnesses and tables.
+A value's hash fixes the iteration order of the closure sets that hold
+it, and so which member a sweep meets first.
 Limits are *chosen*: each instance fixes a deterministic construction so
 results replay bit-for-bit.
 

@@ -1,6 +1,8 @@
 """Morphism-class algebra.
 
-MorClass values wrap a membership procedure. Closure classes are
+MorClass values are ``NamedTuple``s that wrap a membership procedure,
+kept in the class's own ``membership`` method; a Carrier is a plain class
+that lists its morphisms on first use. Closure classes are
 computed to fixpoint on a bounded carrier (all morphisms between a finite
 set of objects) and built by `carrier_class`: on the carrier their member
 set decides, so Fails there is sound only relative to the bound; beyond
@@ -8,21 +10,17 @@ it only their certification rules, or a proof that the class is monic,
 decide, and the rest is Unknown.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .verdict import Verdict
 
 
-@dataclass
 class Carrier:
     """A bounded morphism universe: everything between the given objects."""
 
-    category: object
-    objects: tuple
-
-    def __post_init__(self):
-        self.objects = tuple(self.objects)
+    def __init__(self, category, objects):
+        self.category = category
+        self.objects = tuple(objects)
         self._obj_set = set(self.objects)
         self._morphisms = None
 
@@ -45,8 +43,7 @@ class Carrier:
             and self._obj_set.issuperset(self.category.objects())
 
 
-@dataclass(frozen=True)
-class MorClass:
+class MorClass(NamedTuple):
     name: str
     membership_fn: Callable               # f -> Verdict
     members: Optional[frozenset] = None   # the carrier members of a carrier class

@@ -5,10 +5,7 @@ procedure; `validate_system` produces the evidence report required before
 a system is trusted by downstream modules.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-from .classes import Carrier, MorClass, builtin_class, validate_stable_system
+from .classes import Carrier, builtin_class, validate_stable_system
 from .errors import ConfigError
 from .fincat import make_functor
 from .finset import FinMor, image_rows, product_rows
@@ -16,17 +13,21 @@ from .tablecat import normal_table
 from .verdict import Verdict, combine
 
 
-@dataclass
 class FactSystem:
-    name: str
-    category: object
-    E: MorClass
-    M: MorClass
-    factor: Callable  # f -> (e, m) with m . e = f
-    # (a, b, rows) -> the rows of the M-part of a span a -> b with these
-    # rows, on an instance with a row form (Category.span_rows); simE keys
-    # are read off it, and a system without one has no keys
-    m_rows: Optional[Callable] = None
+    """A named (E, M) system: E and M are MorClasses, and factor maps
+    f -> (e, m) with m . e = f. A plain class whose factor is an instance
+    attribute set in __init__."""
+
+    def __init__(self, name, category, E, M, factor, m_rows=None):
+        self.name = name
+        self.category = category
+        self.E = E
+        self.M = M
+        self.factor = factor
+        # (a, b, rows) -> the rows of the M-part of a span a -> b with these
+        # rows, on an instance with a row form (Category.span_rows); simE keys
+        # are read off it, and a system without one has no keys
+        self.m_rows = m_rows
 
 
 # -- FinSet systems -----------------------------------------------------------

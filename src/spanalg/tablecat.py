@@ -3,29 +3,34 @@
 These serve two roles: loadable test categories in their own right, and
 the *objects* of the FinCat instance.  A table is immutable and hashable;
 equality is structural identity of tables.
+
+A TableCategory is a ``NamedTuple`` of its four tables, so its hash,
+equality and repr are those of the tables alone. The lookup dicts built
+from them live in the instance ``__dict__`` and take no part in either.
 """
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class TableCategory:
+class _Tables(NamedTuple):
     objects: tuple                 # object labels
     morphisms: tuple               # (mor_id, dom, cod), canonical order
     identities: tuple              # (obj, mor_id)
     composition: tuple             # ((g, f), g_after_f)
 
-    _mor_info: dict = field(default=None, compare=False, hash=False, repr=False)
-    _id_of: dict = field(default=None, compare=False, hash=False, repr=False)
-    _comp: dict = field(default=None, compare=False, hash=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_mor_info", {m: (d, c) for m, d, c in self.morphisms})
-        object.__setattr__(self, "_id_of", dict(self.identities))
-        object.__setattr__(self, "_comp", dict(self.composition))
+class TableCategory(_Tables):
+    def __new__(cls, objects, morphisms, identities, composition):
+        self = tuple.__new__(cls, (objects, morphisms, identities, composition))
+        vars(self).update(_mor_info={m: (d, c) for m, d, c in morphisms},
+                          _id_of=dict(identities), _comp=dict(composition))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TableCategory is immutable: cannot set {name!r}")
 
     # -- accessors -------------------------------------------------------
 

@@ -3,25 +3,31 @@
 Every law checker in the package returns a Verdict rather than a bare
 bool: Holds, Fails (with a replayable witness), or Unknown (a search
 budget ran out before a decision was reached).
+
+A Verdict is a ``NamedTuple`` of (outcome, witness, reason): built, hashed
+and compared as a tuple, and never truthy or falsy.
 """
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 HOLDS = "Holds"
 FAILS = "Fails"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Fields(NamedTuple):
     outcome: str
     witness: Any = None
     reason: str = ""
 
-    def __post_init__(self):
-        if self.outcome not in (HOLDS, FAILS, UNKNOWN):
-            raise ValueError(f"bad outcome {self.outcome!r}")
+
+class Verdict(_Fields):
+    __slots__ = ()
+
+    def __new__(cls, outcome, witness=None, reason=""):
+        if outcome not in (HOLDS, FAILS, UNKNOWN):
+            raise ValueError(f"bad outcome {outcome!r}")
+        return tuple.__new__(cls, (outcome, witness, reason))
 
     @property
     def holds(self):

@@ -58,6 +58,9 @@ COMMANDS = {
     "thin-map-counit": ["map-counit", "--category", "thin", "--max-size", "3"],
     "thin-ebullet": ["ebullet", "--category", "thin", "--max-size", "3"],
     "fincat-map-counit": ["map-counit", "--category", "fincat", "--max-size", "1"],
+    # the one report whose check names print a TableCategory repr
+    "fincat-quotient-0": ["quotient", "--category", "fincat", "--max-size", "0",
+                          "--format", "json"],
 }
 
 
