@@ -49,6 +49,12 @@ class AllegoryView:
     class of each morphism and the class listing of each hom are memos
     too, each built and interned on first use.
 
+    The order in which the memos are filled, and so the order of the
+    decider's `key` and `equal` calls, is part of the contract: on a
+    keyless equivalence it picks the representatives. The law sweeps fill
+    them in the order of the object-level sweeps of tests/oracles.py, and
+    test_positional_sweeps_match_the_object_level_references pins it.
+
     A span with a key takes the class of its key. A span without one is
     compared with `equal` against the representatives of its hom in order,
     and joins the first that holds, else becomes one. That result is kept
@@ -250,12 +256,30 @@ class UnitWitness(NamedTuple):
 
 # -- order and semilattice laws -------------------------------------------------
 
-def _within(items, total, budget, sweep):
-    """The first `budget` of `total` items, and the reason a Holds over
-    them is only Unknown, or None when the budget covers them all."""
+def _cut_at(total, budget, sweep):
+    """The reason a Holds over the first `budget` of `total` items is only
+    Unknown, or None when the budget covers them all."""
     if budget is None or total <= budget:
-        return items, None
-    return itertools.islice(items, budget), f"{sweep} cut at the bound ({budget} of {total})"
+        return None
+    return f"{sweep} cut at the bound ({budget} of {total})"
+
+
+def _runs(outer, inner, budget):
+    """The product of `outer` and the list `inner`, cut to its first
+    `budget` elements, as runs (o, the elements of inner paired with o).
+    No run is empty, so a sweep may look up the rows of o before its
+    inner loop and ask for nothing that the cut product skips."""
+    if not inner:
+        return
+    for o in outer:
+        if budget is not None:
+            if budget <= 0:
+                return
+            if budget < len(inner):
+                yield o, inner[:budget]
+                return
+            budget -= len(inner)
+        yield o, inner
 
 
 def _cut(verdict, reason):
@@ -268,13 +292,24 @@ def _undecided(verdict, undecided, a, b):
     return _cut(verdict, undecided and f"order comparison undecided on hom({a!r},{b!r})")
 
 
+# The three sweeps below read the view's memos by index. A miss builds a
+# span and may call the decider, so only the first ask of each entry has
+# to keep its place. Looking up a row has no effect, and is done once per
+# run of the loop above it. An `equal` entry of a class with itself is not
+# asked for: its fill gives the Holds _SAME_REPRESENTATIVE and calls nothing.
+
 def check_order(view, a, b, triple_budget=None):
     """Meet laws on hom(a, b): idempotence, commutativity, associativity,
     greatest-lower-bound for the derived order, and involution
     preserving meets. Unknown, not Holds, when `triple_budget` cuts the
     pairs or the associativity triples or an order comparison is
     undecided; Fails on the greatest lower bound only where decided
-    comparisons refute it."""
+    comparisons refute it.
+
+    The order of its memo fills, and so of its decider calls, is part of
+    its contract: it is the order of the reference `check_order` in
+    tests/oracles.py, which
+    test_positional_sweeps_match_the_object_level_references pins."""
     reps, complete = view.hom(a, b)
     if not reps:
         raise EnumerationUnavailable(f"no enumerable classes {a!r} -> {b!r}")
@@ -282,47 +317,64 @@ def check_order(view, a, b, triple_budget=None):
     idx = [view._interned[id(r)] for r in reps]
     unknown = None
     for i in idx:
-        v = equal[meet[i][i]][i]
-        if v.fails:
-            return Verdict.no(rep[i], "meet not idempotent")
-        if unknown is None and v.unknown:
-            unknown = v
+        ii = meet[i][i]
+        if ii != i:
+            v = equal[ii][i]
+            if v.outcome != HOLDS:
+                if v.outcome == FAILS:
+                    return Verdict.no(rep[i], "meet not idempotent")
+                if unknown is None:
+                    unknown = v
     # n * n pairs over the budget mean n ** 3 triples over it, so the
     # triples' cut names both
-    pairs = itertools.product(idx, repeat=2)
-    if triple_budget is not None:
-        pairs = itertools.islice(pairs, triple_budget)
-    for i, j in pairs:
-        ij = meet[i][j]
-        v = equal[ij][meet[j][i]]
-        if v.fails:
-            return Verdict.no((rep[i], rep[j]), "meet not commutative")
-        w = equal[inv[ij]][meet[inv[i]][inv[j]]]
-        if w.fails:
-            return Verdict.no((rep[i], rep[j]), "involution does not preserve meets")
-        if unknown is None and (v.unknown or w.unknown):
-            unknown = v if v.unknown else w
-    triples, cut = _within(itertools.product(idx, repeat=3), len(idx) ** 3,
-                           triple_budget, f"associativity triples on hom({a!r},{b!r})")
+    for i, js in _runs(idx, idx, triple_budget):
+        mi = meet[i]
+        for j in js:
+            ij, ji = mi[j], meet[j][i]
+            if ij != ji:
+                v = equal[ij][ji]
+                if v.outcome != HOLDS:
+                    if v.outcome == FAILS:
+                        return Verdict.no((rep[i], rep[j]), "meet not commutative")
+                    if unknown is None:
+                        unknown = v
+            lhs = inv[ij]
+            rhs = meet[inv[i]][inv[j]]
+            if lhs != rhs:
+                w = equal[lhs][rhs]
+                if w.outcome != HOLDS:
+                    if w.outcome == FAILS:
+                        return Verdict.no((rep[i], rep[j]), "involution does not preserve meets")
+                    if unknown is None:
+                        unknown = w
+    cut = _cut_at(len(idx) ** 3, triple_budget, f"associativity triples on hom({a!r},{b!r})")
     undecided = False
-    for i, j, k in triples:
-        ij = meet[i][j]
-        v = equal[meet[ij][k]][meet[i][meet[j][k]]]
-        if v.fails:
-            return Verdict.no((rep[i], rep[j], rep[k]), "meet not associative")
-        if unknown is None and v.unknown:
-            unknown = v
-        # t <= r and t <= s against t <= r meet s, in three values
-        below_both = leq[k][i].outcome
-        if below_both != FAILS:
-            below_s = leq[k][j].outcome
-            if below_both == HOLDS or below_s == FAILS:
-                below_both = below_s
-        below_meet = leq[k][ij].outcome
-        if below_both == UNKNOWN or below_meet == UNKNOWN:
-            undecided = True
-        elif below_both != below_meet:
-            return Verdict.no((rep[i], rep[j], rep[k]), "meet is not a greatest lower bound")
+    for (i, j), ks in _runs(itertools.product(idx, repeat=2), idx, triple_budget):
+        mi, mj = meet[i], meet[j]
+        ij = mi[j]
+        mij = meet[ij]
+        for k in ks:
+            lhs = mij[k]
+            rhs = mi[mj[k]]
+            if lhs != rhs:
+                v = equal[lhs][rhs]
+                if v.outcome != HOLDS:
+                    if v.outcome == FAILS:
+                        return Verdict.no((rep[i], rep[j], rep[k]), "meet not associative")
+                    if unknown is None:
+                        unknown = v
+            # t <= r and t <= s against t <= r meet s, in three values
+            below = leq[k]
+            below_both = below[i].outcome
+            if below_both != FAILS:
+                below_s = below[j].outcome
+                if below_both == HOLDS or below_s == FAILS:
+                    below_both = below_s
+            below_meet = below[ij].outcome
+            if below_both == UNKNOWN or below_meet == UNKNOWN:
+                undecided = True
+            elif below_both != below_meet:
+                return Verdict.no((rep[i], rep[j], rep[k]), "meet is not a greatest lower bound")
     if unknown is not None:
         return unknown
     if not complete:
@@ -333,54 +385,80 @@ def check_order(view, a, b, triple_budget=None):
 def check_monotone_composition(view, a, b, c, quad_budget=None):
     """r <= r' implies (r then s) <= (r' then s), and on the other side.
     Unknown, not Holds, when `quad_budget` cuts the (r, r', s) quads or
-    some r <= r' is undecided."""
+    some r <= r' is undecided.
+
+    The order of its memo fills, and so of its decider calls, is part of
+    its contract: it is the order of the reference
+    `check_monotone_composition` in tests/oracles.py, which
+    test_positional_sweeps_match_the_object_level_references pins."""
     then, leq, inv, rep = view._then, view._leq, view._inv, view._reps
     ab = [view._interned[id(r)] for r in view.hom(a, b)[0]]
     bc = [view._interned[id(s)] for s in view.hom(b, c)[0]]
-    quads, cut = _within(((i, i2, k) for i in ab for i2 in ab for k in bc),
-                         len(ab) ** 2 * len(bc), quad_budget,
-                         f"monotone-composition quads on ({a!r},{b!r},{c!r})")
-    out = Verdict.yes(reason="no comparable pairs")
-    undecided = False
-    for i, i2, k in quads:
+    cut = _cut_at(len(ab) ** 2 * len(bc), quad_budget,
+                  f"monotone-composition quads on ({a!r},{b!r},{c!r})")
+    unknown = None
+    compared = undecided = False
+    for (i, i2), ks in _runs(itertools.product(ab, repeat=2), bc, quad_budget):
         below = leq[i][i2].outcome
         if below != HOLDS:
             undecided = undecided or below == UNKNOWN
             continue
-        v = leq[then[i][k]][then[i2][k]]
-        if v.fails:
-            return Verdict.no((rep[i], rep[i2], rep[k]), "composition not monotone on the left")
-        w = leq[then[inv[k]][inv[i]]][then[inv[k]][inv[i2]]]
-        if w.fails:
-            return Verdict.no((rep[i], rep[i2], rep[k]), "composition not monotone on the right")
-        if out.holds:
-            out = v if v.unknown else w if w.unknown else _COMPARED
+        compared = True
+        ti, ti2 = then[i], then[i2]
+        for k in ks:
+            v = leq[ti[k]][ti2[k]]
+            if v.outcome == FAILS:
+                return Verdict.no((rep[i], rep[i2], rep[k]), "composition not monotone on the left")
+            tk = then[inv[k]]
+            w = leq[tk[inv[i]]][tk[inv[i2]]]
+            if w.outcome == FAILS:
+                return Verdict.no((rep[i], rep[i2], rep[k]), "composition not monotone on the right")
+            if unknown is None:
+                if v.outcome == UNKNOWN:
+                    unknown = v
+                elif w.outcome == UNKNOWN:
+                    unknown = w
+    out = unknown if unknown is not None else _COMPARED if compared \
+        else Verdict.yes(reason="no comparable pairs")
     return _undecided(_cut(out, cut), undecided, a, b)
 
 
 def check_modular_law(view, triples):
     """Freyd modular law: (s.r) meet t <= s.(r meet (s deg . t)), with
     triples (r: a -> b, s: b -> c, t: a -> c). The spans need not be
-    representatives; each is interned where the ops would first intern it."""
+    representatives; each is interned where the ops would first intern it.
+
+    The order of its memo fills, and so of its decider calls, is part of
+    its contract: it is the order of the reference `check_modular_law` in
+    tests/oracles.py, which
+    test_positional_sweeps_match_the_object_level_references pins."""
     then, meet, leq, inv, index = view._then, view._meet, view._leq, view._inv, view._index
+    interned = view._interned
     unknown = None
     n = 0
     last_r = last_s = None
     for r, s, t in triples:
         n += 1
         if r is not last_r or s is not last_s:
-            # a sweep varies t fastest, so r and s are looked up once per run
-            i, k = index(r), index(s)
+            # a sweep varies t fastest, so r and s and their rows are
+            # looked up once per run
             last_r, last_s = r, s
-        rs = then[i][k]
-        j = index(t)
-        lhs = meet[rs][j]
-        rhs = then[meet[i][then[j][inv[k]]]][k]
-        v = leq[lhs][rhs]
-        if v.fails:
-            return Verdict.no((r, s, t), "modular law fails")
-        if unknown is None and v.unknown:
-            unknown = v
+            i, k = index(r), index(s)
+            rs_meet, i_meet = meet[then[i][k]], meet[i]
+            ik = None
+        j = interned.get(id(t))
+        if j is None:
+            j = index(t)
+        lhs = rs_meet[j]
+        if ik is None:
+            # first asked after the run's first meet, as by the ops
+            ik = inv[k]
+        v = leq[lhs][then[i_meet[then[j][ik]]][k]]
+        if v.outcome != HOLDS:
+            if v.outcome == FAILS:
+                return Verdict.no((r, s, t), "modular law fails")
+            if unknown is None:
+                unknown = v
     return Verdict.yes(reason=f"{n} triples") if unknown is None else unknown
 
 
@@ -402,8 +480,9 @@ def modular_triples(view, a, b, c, budget=None):
     ab, _ = view.hom(a, b)
     bc, _ = view.hom(b, c)
     ac, _ = view.hom(a, c)
-    return _within(itertools.product(ab, bc, ac), len(ab) * len(bc) * len(ac),
-                   budget, f"modular triples on ({a!r},{b!r},{c!r})")
+    cut = _cut_at(len(ab) * len(bc) * len(ac), budget, f"modular triples on ({a!r},{b!r},{c!r})")
+    triples = itertools.product(ab, bc, ac)
+    return (triples if cut is None else itertools.islice(triples, budget)), cut
 
 
 def allegory_suite(view, objects=None, budget=None):

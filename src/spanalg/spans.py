@@ -292,9 +292,13 @@ def make_equivalence(cat, relation_tag, system=None, e_class=None):
 # -- quotient hom enumeration --------------------------------------------------
 
 def stream_spans(cat, a, b):
-    """Every span a <- w -> b with its apex w in the object stream."""
-    return [Span(w, lf, rg) for w in cat.objects()
-            for lf in cat.hom(w, a) for rg in cat.hom(w, b)]
+    """Every span a <- w -> b with its apex w in the object stream; each
+    hom w -> b is listed once per apex."""
+    spans = []
+    for w in cat.objects():
+        rights = list(cat.hom(w, b))
+        spans += [Span(w, lf, rg) for lf in cat.hom(w, a) for rg in rights]
+    return spans
 
 
 def relation_spans(cat, a, b):

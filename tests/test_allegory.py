@@ -946,10 +946,19 @@ def _run_sweep(laws, name, sweep, scripted, objs, budget):
 
 
 @given(_sweep_cases())
-# a Fails ("meet not idempotent"), a scripted undecided comparison, a cut
-# modular sweep and a cut scripted sweep on a keyless view
+# each Fails reason that some configuration reaches, one per sweep: meet
+# not idempotent, composition not monotone on the left, modular law fails
 @example(("finset-iso-all-simE", "order", False, (1, 1), None))
+@example(("finset-iso-all-simE", "monotone", False, (1, 1, 1), None))
+@example(("finset-iso-all-simE", "modular", False, (1, 1, 1), None))
+# a scripted Unknown kept as the verdict, and one that leaves an order
+# comparison undecided
+@example(("finset-iso-all-simE", "order", True, (1, 1), None))
 @example(("finset-surj-inj-simE", "order", True, (1, 2), None))
+# a cut of each sweep on a keyed view, the first two inside a run of the
+# inner loop, and a cut scripted sweep on a keyless view
+@example(("finset-surj-inj-simE", "order", False, (1, 2), 10))
+@example(("finset-surj-inj-simE", "monotone", False, (1, 1, 2), 7))
 @example(("finset-surj-inj-simE", "modular", False, (1, 1, 2), 16))
 @example(("finset-iso-all-simEo", "monotone", True, (2, 2, 1), 100))
 def test_positional_sweeps_match_the_object_level_references(case):
@@ -957,6 +966,39 @@ def test_positional_sweeps_match_the_object_level_references(case):
     got = _run_sweep(allegory, *case)
     assert got[0] == want[0]
     assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("inner", [[], [7], [7, 8, 9]], ids=["empty", "one", "three"])
+def test_runs_are_the_cut_product_with_no_empty_run(inner):
+    # a sweep looks up the rows of a run before its inner loop, so an empty
+    # run would ask for entries that the cut product never reaches
+    outer = ["a", "b", "c"]
+    for budget in [None, *range(len(outer) * len(inner) + 2)]:
+        runs = list(allegory._runs(iter(outer), inner, budget))
+        assert all(run for _, run in runs), budget
+        product = itertools.product(outer, inner)
+        want = list(product if budget is None else itertools.islice(product, budget))
+        assert [(o, x) for o, run in runs for x in run] == want, budget
+
+
+# the views of the benchmark's check-allegory workloads: FinSet(2) surj-inj
+# over the objects 0..2 (laws-keyed) and the thin 5-chain iso-all (keyless)
+BENCHMARK_VIEWS = {"finset-surj-inj-simE": (functools.partial(_finset2, "surj-inj"), range(3)),
+                   "thin-5": (functools.partial(_chain, "simE", 5), None)}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_VIEWS))
+def test_suite_matches_the_reference_suite_on_the_benchmark_views(name):
+    """The whole suite gives the verdict, representatives, undecided homs
+    and decider calls of the reference suite, each on a fresh view."""
+    build, objs = BENCHMARK_VIEWS[name]
+    cat, equiv = build()
+    views = [AllegoryView(cat, _Recorder(equiv), objects=objs) for _ in range(2)]
+    got, want = allegory.allegory_suite(views[0]), oracles.allegory_suite(views[1])
+    assert (got.outcome, got.reason, repr(got.witness)) == \
+        (want.outcome, want.reason, repr(want.witness))
+    assert _state(views[0]) == _state(views[1])
+    assert views[0].equiv.log
 
 
 # keyless views, where the op order picks the representatives
