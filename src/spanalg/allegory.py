@@ -38,16 +38,16 @@ class AllegoryView:
     memos on those indices serves the ops and the law sweeps alike:
     `_then[i][k]`, `_meet[i][j]` and `_inv[i]` hold the index of a result,
     `_equal[i][j]` and `_leq[i][j]` a Verdict. An op on representatives
-    reads its row and calls `rep` only on a span it builds on a miss; a
-    sweep's memo calls the op on a miss, so every span is built inside
-    `compose`, `meet` or `inv` and the ops are asked for in the same
-    first-use order as by a sweep without memos. `equal` gives one frozen
-    Verdict for two spans of one class, decides two distinct
-    representatives once, and passes a span whose class is held by another
-    to the equivalence uncached. `leq` is only memoized for the sweeps, as
-    the equal row of a meet. The identity class of each object, the graph
-    class of each morphism and the class listing of each hom are memos
-    too, each built and interned on first use.
+    reads its row, and only on a miss builds its result; a sweep's memo
+    calls the op on a miss, so every result is built inside `compose`,
+    `meet` or `inv` and the ops are asked for in the same first-use order
+    as by a sweep without memos. `equal` gives one frozen Verdict for two
+    spans of one class, decides two distinct representatives once, and
+    passes a span whose class is held by another to the equivalence
+    uncached. `leq` is only memoized for the sweeps, as the equal row of a
+    meet. The identity class of each object, the graph class of each
+    morphism and the class listing of each hom are memos too, each built
+    and interned on first use.
 
     The order in which the memos are filled, and so the order of the
     decider's `key` and `equal` calls, is part of the contract: on a
@@ -55,22 +55,30 @@ class AllegoryView:
     them in the order of the object-level sweeps of tests/oracles.py, and
     test_positional_sweeps_match_the_object_level_references pins it.
 
-    A span with a key takes the class of its key. A span without one is
-    compared with `equal` against the representatives of its hom in order,
-    and joins the first that holds, else becomes one. That result is kept
-    under the span's value in `_seen`, so a span equal by value to one
-    already seen takes the same class with no comparison. This is the
-    scan's own result: `equal` depends only on span values, and relates a
-    span to its copy, so a second scan would stop at the same
-    representative after the same comparisons, and any Unknown among them
-    is already in `_undecided`.
+    A span with a key takes the class of its key: `_by_key` gives the
+    index of that class, and interns the span of the key on first use.
+    `_keys` holds the key of each keyed representative by index. On a miss
+    an op on keyed representatives computes the key of its result from
+    theirs, with the equivalence's `compose_key`, `meet_key` or `inv_key`,
+    and takes the class of that key: it builds no span and calls no `key`.
+    An op on representatives without keys builds its result with
+    `span_compose`, `span_meet` or `involution` and passes it to `rep`.
+    A span without a key is compared with `equal` against the
+    representatives of its hom in order, and joins the first that holds,
+    else becomes one. That result is kept under the span's value in
+    `_seen`, so a span equal by value to one already seen takes the same
+    class with no comparison. This is the scan's own result: `equal`
+    depends only on span values, and relates a span to its copy, so a
+    second scan would stop at the same representative after the same
+    comparisons, and any Unknown among them is already in `_undecided`.
     """
 
     def __init__(self, cat, equiv, objects=None):
         self.cat = cat
         self.equiv = equiv
         self.objects = list(cat.objects()) if objects is None else list(objects)
-        self._by_key = {}
+        self._by_key = _Memo(self._new_keyed)  # key -> the index of its class
+        self._keys = []        # index -> the key of its rep, or None
         self._buckets = {}     # (dom, cod) -> interned reps, for an equivalence without keys
         self._seen = _Memo(self._scan)  # span value -> its rep, for an equivalence without keys
         self._interned = {}    # id(rep) -> its index
@@ -88,20 +96,23 @@ class AllegoryView:
 
     # representative interning
 
-    def _intern(self, s):
+    def _intern(self, s, k=None):
         self._interned[id(s)] = len(self._reps)
         self._reps.append(s)
+        self._keys.append(k)
         return s
+
+    def _new_keyed(self, k):
+        """The index of a new class with key k, whose rep is the span of k."""
+        self._intern(self.equiv.span_of_key(k), k)
+        return len(self._reps) - 1
 
     def rep(self, s):
         if id(s) in self._interned:
             return s
         k = self.equiv.key(s)
         if k is not None:
-            hit = self._by_key.get(k)
-            if hit is None:
-                hit = self._by_key[k] = self._intern(self.equiv.span_of_key(k))
-            return hit
+            return self._reps[self._by_key[k]]
         return self._seen[s]
 
     def _scan(self, s):
@@ -138,7 +149,12 @@ class AllegoryView:
         row = self._then[i]
         hit = row.get(k)
         if hit is None:
-            hit = row[k] = self._index(span_compose(self.cat, self._reps[i], self._reps[k]))
+            ki, kk = self._keys[i], self._keys[k]
+            if ki is None or kk is None:
+                hit = self._index(span_compose(self.cat, self._reps[i], self._reps[k]))
+            else:
+                hit = self._by_key[self.equiv.compose_key(ki, kk)]
+            row[k] = hit
         return self._reps[hit]
 
     def meet(self, r, s):
@@ -146,14 +162,24 @@ class AllegoryView:
         row = self._meet[i]
         hit = row.get(j)
         if hit is None:
-            hit = row[j] = self._index(span_meet(self.cat, self._reps[i], self._reps[j]))
+            ki, kj = self._keys[i], self._keys[j]
+            if ki is None or kj is None:
+                hit = self._index(span_meet(self.cat, self._reps[i], self._reps[j]))
+            else:
+                hit = self._by_key[self.equiv.meet_key(ki, kj)]
+            row[j] = hit
         return self._reps[hit]
 
     def inv(self, r):
         i = self._index(r)
         hit = self._inv.get(i)
         if hit is None:
-            hit = self._inv[i] = self._index(involution(self._reps[i]))
+            ki = self._keys[i]
+            if ki is None:
+                hit = self._index(involution(self._reps[i]))
+            else:
+                hit = self._by_key[self.equiv.inv_key(ki)]
+            self._inv[i] = hit
         return self._reps[hit]
 
     def equal(self, r, s):

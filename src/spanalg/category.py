@@ -108,7 +108,20 @@ class Category:
     # Canonical row form of spans, or None. An instance with one defines
     # span_rows(left, right), equal exactly on vertically isomorphic spans,
     # and span_of_rows(a, b, rows) -> (apex, left, right) rebuilding a span.
+    # It also defines compose_rows(rows1, rows2) and meet_rows(rows1, rows2):
+    # the span_rows of the span_compose and of the span_meet of the spans
+    # that span_of_rows builds from two row forms, computed on the rows.
     span_rows = None
+    compose_rows = None
+    meet_rows = None
+
+    def two_cells(self, s1, s2):
+        """Each u: apex(s1) -> apex(s2) with s2.left . u = s1.left and
+        s2.right . u = s1.right, lazily and in hom order; s1 and s2 are
+        parallel."""
+        for u in self.hom(s1.apex, s2.apex):
+            if self.compose(s2.left, u) == s1.left and self.compose(s2.right, u) == s1.right:
+                yield u
 
     def e_bullet_facts(self, system, members):
         """(extra certification rules, monic-complete) that the instance

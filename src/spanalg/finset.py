@@ -5,6 +5,7 @@ chosen limits are built on canonically ordered tuple encodings, so
 pullbacks, products and factorizations are deterministic.
 """
 
+from collections import Counter
 from itertools import combinations, product as iproduct
 from typing import NamedTuple
 
@@ -149,8 +150,31 @@ class FinSetCategory(Category):
 
     def span_of_rows(self, a, b, rows):
         n = len(rows)
-        return (n, FinMor(n, a, tuple(x for x, _ in rows)),
-                FinMor(n, b, tuple(y for _, y in rows)))
+        xs, ys = zip(*rows) if rows else ((), ())
+        return (n, FinMor(n, a, xs), FinMor(n, b, ys))
+
+    def compose_rows(self, rows1, rows2):
+        # the pullback has one point per pair of rows (x, y), (y, z), and
+        # the composite one row (x, z) per point
+        after = {}
+        for y, z in rows2:
+            after.setdefault(y, []).append(z)
+        return tuple(sorted([(x, z) for x, y in rows1 for z in after.get(y, ())]))
+
+    def meet_rows(self, rows1, rows2):
+        # the pullback of the pairings has one point per pair of equal rows;
+        # rows1 is sorted, so the rows come out sorted
+        count = Counter(rows2)
+        return tuple([r for r in rows1 for _ in range(count[r])])
+
+    def two_cells(self, s1, s2):
+        # a two-cell sends each point x of apex1 to a point of apex2 with
+        # x's row; the choices in ascending order give the hom order
+        over = {}
+        for y, row in enumerate(zip(s2.left.table, s2.right.table)):
+            over.setdefault(row, []).append(y)
+        choices = [over.get(row, ()) for row in zip(s1.left.table, s1.right.table)]
+        return (FinMor(s1.apex, s2.apex, t) for t in iproduct(*choices))
 
     def e_bullet_facts(self, system, members):
         """0 -> X is a pullback of any member 0 -> c (c >= 1) along a

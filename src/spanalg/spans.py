@@ -83,11 +83,9 @@ def _require_parallel(s1, s2):
 
 
 def two_cells(cat, s1, s2):
-    """All u: apex1 -> apex2 commuting with both legs."""
+    """All u: apex1 -> apex2 commuting with both legs, in hom order."""
     _require_parallel(s1, s2)
-    for u in cat.hom(s1.apex, s2.apex):
-        if cat.compose(s2.left, u) == s1.left and cat.compose(s2.right, u) == s1.right:
-            yield u
+    return cat.two_cells(s1, s2)
 
 
 def vertically_isomorphic(cat, s1, s2):
@@ -133,7 +131,9 @@ class SpanEquivalence:
     def key(self, s):
         """Hashable canonical key, or None when no canonical form exists.
         An equivalence that returns keys also defines span_of_key(k), the
-        representative span of the key's class."""
+        representative span of the key's class, and compose_key(k1, k2),
+        meet_key(k1, k2) and inv_key(k), the keys of the classes of the
+        composite, meet and converse."""
         return None
 
 
@@ -210,6 +210,29 @@ class FactorizationEquivalence(SpanEquivalence):
 
     def span_of_key(self, k):
         return Span(*self.cat.span_of_rows(*k))
+
+    # The key of a composite, meet or converse of classes, read off the keys
+    # of its operands: the M-part of a composite depends only on the M-parts
+    # of its factors. Each equals the key of the span_compose, span_meet or
+    # involution of the operands' span_of_key spans, and raises as they do
+    # on operands that do not fit.
+
+    def compose_key(self, k1, k2):
+        a, b, rows1 = k1
+        b2, c, rows2 = k2
+        if b != b2:
+            raise NotParallel(f"cod {b!r} != dom {b2!r}")
+        return (a, c, self.system.m_rows(a, c, self.cat.compose_rows(rows1, rows2)))
+
+    def meet_key(self, k1, k2):
+        a, b, rows1 = k1
+        if k2[0] != a or k2[1] != b:
+            _require_parallel(self.span_of_key(k1), self.span_of_key(k2))
+        return (a, b, self.system.m_rows(a, b, self.cat.meet_rows(rows1, k2[2])))
+
+    def inv_key(self, k):
+        a, b, rows = k
+        return (b, a, self.system.m_rows(b, a, tuple(sorted([(y, x) for x, y in rows]))))
 
     def equal(self, s1, s2):
         _require_parallel(s1, s2)

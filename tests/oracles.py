@@ -193,10 +193,7 @@ class ScanningView(allegory.AllegoryView):
             return s
         k = self.equiv.key(s)
         if k is not None:
-            hit = self._by_key.get(k)
-            if hit is None:
-                hit = self._by_key[k] = self._intern(self.equiv.span_of_key(k))
-            return hit
+            return self._reps[self._by_key[k]]
         bucket = self._buckets.setdefault((s.dom, s.cod), [])
         for r in bucket:
             v = self.equiv.equal(s, r)

@@ -48,6 +48,12 @@ COMMANDS = {
     "finset-map-counit-iso-all-simEbullet": ["map-counit", "--category", "finset",
                                              "--system", "iso-all", "--relation",
                                              "simEbullet", "--max-size", "2"],
+    # approx compares spans by their two-cells, so these pin the FinSet
+    # two-cell search; both runs Fail on the composite of tabulate-2-2
+    "finset-tabulate-approx": ["tabulate", "--category", "finset", "--system", "all-iso",
+                               "--relation", "approx", "--max-size", "2"],
+    "finset-map-counit-approx": ["map-counit", "--category", "finset", "--system", "all-iso",
+                                 "--relation", "approx", "--max-size", "2"],
     "thin-check-allegory": ["check-allegory", "--category", "thin", "--max-size", "4"],
     # the 5-chain under iso-all, whose classes have no key and are grouped by equal
     "thin-check-allegory-5": ["check-allegory", "--category", "thin", "--system", "iso-all",
